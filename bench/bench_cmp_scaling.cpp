@@ -1,30 +1,17 @@
 /**
  * @file
  * Host-side throughput of multi-core chip simulation versus core
- * count and worker-thread count, plus the interconnect-pressure
- * counters of each point. Useful for budgeting CMP sweep sizes and
- * watching the shared-L2 arbitration cost; not a paper experiment.
+ * count, plus the interconnect-pressure counters of each point.
+ * Useful for budgeting CMP sweep sizes and watching the shared-L2
+ * arbitration cost; not a paper experiment.
  *
  * Items == total committed instructions across all cores, so the
  * items/s column shows how much of the added simulation work the
  * event kernel absorbs as cores (and interconnect arbitration
  * traffic) grow.
- *
- * The second benchmark argument is GALS_CHIP_THREADS: 1 is the
- * sequential event kernel, >1 the horizon-parallel stepper (always
- * bit-identical; the differential suite enforces that). Wall-clock
- * ("Time") is the column to read for thread scaling — CPU time sums
- * across workers. Speedup requires at least as many host CPUs as
- * workers; on a single-CPU host the parallel points show the
- * protocol's overhead floor instead.
  */
 
 #include "bench_util.hh"
-
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <thread>
 
 #include "cmp/chip.hh"
 #include "workload/suite.hh"
@@ -47,24 +34,10 @@ mixFor(int cores)
     return mix;
 }
 
-/** Scoped GALS_CHIP_THREADS setting (read per chip run). */
-class ThreadsEnv
-{
-  public:
-    explicit ThreadsEnv(int threads)
-    {
-        setenv("GALS_CHIP_THREADS", std::to_string(threads).c_str(),
-               1);
-    }
-    ~ThreadsEnv() { unsetenv("GALS_CHIP_THREADS"); }
-};
-
 void
 BM_ChipRun(benchmark::State &state)
 {
     int cores = static_cast<int>(state.range(0));
-    int threads = static_cast<int>(state.range(1));
-    ThreadsEnv env(threads);
     ChipConfig cc;
     cc.machine = MachineConfig::mcdProgram({});
     cc.cores = cores;
@@ -73,8 +46,6 @@ BM_ChipRun(benchmark::State &state)
     std::uint64_t instrs = 0;
     std::uint64_t conflicts = 0;
     std::uint64_t merges = 0;
-    std::uint64_t rounds = 0;
-    double cpu0 = cpuProcessSeconds();
     for (auto _ : state) {
         Chip chip(cc, mix);
         ChipRunStats s = chip.run();
@@ -82,9 +53,7 @@ BM_ChipRun(benchmark::State &state)
         instrs += s.total_committed;
         conflicts += s.bank_conflicts;
         merges += s.fill_merges;
-        rounds += s.parallel_rounds;
     }
-    double cpu = cpuProcessSeconds() - cpu0;
     state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
     state.counters["bank_conflicts"] = benchmark::Counter(
         static_cast<double>(conflicts),
@@ -92,48 +61,16 @@ BM_ChipRun(benchmark::State &state)
     state.counters["fill_merges"] = benchmark::Counter(
         static_cast<double>(merges),
         benchmark::Counter::kAvgIterations);
-    state.counters["rounds"] = benchmark::Counter(
-        static_cast<double>(rounds),
-        benchmark::Counter::kAvgIterations);
-    // Process CPU time split per worker, per iteration: on a 1-CPU
-    // host (the reference container) the wall-clock column cannot
-    // show thread scaling, but this one can — a parallel point whose
-    // per-worker CPU time beats the threads=1 row's means each
-    // worker does genuinely less work per run (the spin/settle
-    // overhead is more than covered), so it would scale on a wider
-    // host.
-    state.counters["cpu_per_worker_s"] = benchmark::Counter(
-        cpu / static_cast<double>(threads),
-        benchmark::Counter::kAvgIterations);
 }
-// {cores, worker threads}: the threads=1 rows are the sequential
-// kernel (the default path); each core count then adds its parallel
-// points up to threads == cores.
-BENCHMARK(BM_ChipRun)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({8, 1})
-    ->Args({8, 4})
-    ->Args({8, 8})
-    ->Args({16, 1})
-    ->Args({16, 4})
-    ->Args({16, 16})
-    ->UseRealTime();
+// Core counts: the power-of-two ladder up to kMaxCores.
+BENCHMARK(BM_ChipRun)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 
-/** The contended corner: one bank, one fill slot per bank. Frequent
- * in-flight fills clamp the parallel stepper's horizon to fill
- * granularity, so this is its worst case (maximum rounds per unit of
- * simulated time). */
+/** The contended corner: one bank, one fill slot per bank — maximum
+ * cross-core arbitration per committed instruction. */
 void
 BM_ChipRunContended(benchmark::State &state)
 {
     int cores = static_cast<int>(state.range(0));
-    int threads = static_cast<int>(state.range(1));
-    ThreadsEnv env(threads);
     ChipConfig cc;
     cc.machine = MachineConfig::mcdProgram({});
     cc.cores = cores;
@@ -151,12 +88,7 @@ BM_ChipRunContended(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
 }
-BENCHMARK(BM_ChipRunContended)
-    ->Args({2, 1})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->Args({4, 4})
-    ->UseRealTime();
+BENCHMARK(BM_ChipRunContended)->Arg(2)->Arg(4);
 
 } // namespace
 
@@ -166,8 +98,5 @@ main(int argc, char **argv)
     gals::benchBanner("Chip-multiprocessor host throughput",
                       "infrastructure measurement (items == total "
                       "committed instructions)");
-    std::printf("host CPUs: %u (parallel wall-clock speedup needs "
-                ">= as many as worker threads)\n",
-                std::thread::hardware_concurrency());
     return runRegisteredBenchmarks(argc, argv);
 }

@@ -205,8 +205,7 @@ cmp2SharedBenchMix()
 }
 
 /** Total committed instructions per CPU-second for an N-core chip
- * (sequential kernel: the default GALS_CHIP_THREADS=1 path is what
- * the tracked columns gate). */
+ * on the event kernel. */
 double
 measureCmpItemsPerSec(int cores,
                       const std::vector<WorkloadParams> &mix)

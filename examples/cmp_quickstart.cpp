@@ -14,13 +14,16 @@
  * observability quickstart exercises: it produces coherence
  * invalidations AND reconfiguration decisions, so a GALS_TRACE run
  * carries every event family for scripts/check_trace.py).
+ *
+ * `cores` must be 1..16 and `banks` 1..1024; anything else (or a
+ * non-integer) exits with status 2.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "cmp/chip.hh"
+#include "common/parse.hh"
 #include "sim/simulation.hh"
 #include "workload/suite.hh"
 
@@ -29,8 +32,12 @@ using namespace gals;
 int
 main(int argc, char **argv)
 {
-    int cores = argc > 1 ? std::atoi(argv[1]) : 2;
-    int banks = argc > 2 ? std::atoi(argv[2]) : 4;
+    int cores = argc > 1 ? static_cast<int>(parseIntegerArg(
+                               "cores", argv[1], 1, kMaxCores))
+                         : 2;
+    int banks = argc > 2 ? static_cast<int>(parseIntegerArg(
+                               "banks", argv[2], 1, 1024))
+                         : 4;
     const bool sharing =
         argc > 3 && std::strcmp(argv[3], "sharing") == 0;
 

@@ -42,7 +42,9 @@
  * it, a dead cache dir degrades to a cold run with a warning).
  */
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -50,6 +52,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "core/ports.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -101,23 +104,22 @@ writeFile(const std::string &path, const std::string &text)
     out << text;
 }
 
-/** Parse a comma-separated core-count list ("1,2,4"). */
+/** Parse a comma-separated core-count list ("1,2,4"); a bad item
+ * exits with status 2. */
 std::vector<int>
-parseIntList(const std::string &text)
+parseCoreList(const std::string &text)
 {
     std::vector<int> out;
     std::istringstream ss(text);
     std::string item;
     while (std::getline(ss, item, ',')) {
-        int v = std::atoi(item.c_str());
-        if (v < 1 || v > kMaxCores) {
-            panic("bad core count '%s' (must be 1..%d)", item.c_str(),
-                  kMaxCores);
-        }
-        out.push_back(v);
+        out.push_back(static_cast<int>(
+            parseIntegerArg("--cores", item.c_str(), 1, kMaxCores)));
     }
-    if (out.empty())
-        panic("empty core-count list");
+    if (out.empty()) {
+        std::fprintf(stderr, "--cores: empty core-count list\n");
+        std::exit(2);
+    }
     return out;
 }
 
@@ -173,17 +175,19 @@ main(int argc, char **argv)
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--benchmarks") {
-            benchmarks = static_cast<size_t>(std::atoi(value()));
+            benchmarks = static_cast<size_t>(parseIntegerArg(
+                "--benchmarks", value(), 1,
+                static_cast<long long>(benchmarkSuite().size())));
         } else if (arg == "--bench") {
             bench = value();
         } else if (arg == "--cores") {
             cores = value();
         } else if (arg == "--sim") {
-            sim_instrs =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            sim_instrs = static_cast<std::uint64_t>(
+                parseIntegerArg("--sim", value(), 1, LLONG_MAX));
         } else if (arg == "--warmup") {
-            warmup_instrs =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            warmup_instrs = static_cast<std::uint64_t>(
+                parseIntegerArg("--warmup", value(), 0, LLONG_MAX));
         } else if (arg == "--cache-dir") {
             cache_dir = value();
         } else if (arg == "--trace-out") {
@@ -250,7 +254,7 @@ main(int argc, char **argv)
             sweepAdaptiveRaw(wl, shard);
         json = adaptiveSweepShardJson(rows, wl.name, shard);
     } else if (mode == "cmp") {
-        std::vector<int> core_counts = parseIntList(cores);
+        std::vector<int> core_counts = parseCoreList(cores);
         std::vector<CmpPointResult> rows =
             sweepCmpRaw(suite, core_counts, shard);
         if (verbose && !shard.sharded())

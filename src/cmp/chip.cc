@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <barrier>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sim/parallel.hh"
 #include "timing/frequency_model.hh"
 #include "workload/generator.hh"
 
@@ -18,16 +16,6 @@ namespace
 {
 
 constexpr std::uint64_t KB = 1024;
-
-// GALS_CHIP_THREADS validation clamps to kMaxChipWorkers; a chip can
-// usefully employ one worker per core, so the two bounds move in step.
-static_assert(kMaxChipWorkers >= static_cast<unsigned>(kMaxCores),
-              "chip worker ceiling below the supported core count");
-
-/** Round cap when no cross-core traffic is in flight: a full
- * epoch-length window (~a controller interval of simulated time), so
- * an uncontended chip pays barriers at a negligible cadence. */
-constexpr Tick kChipEpochHorizonPs = 1'000'000;
 
 /** All cores' clocks, flat in global domain index order. */
 std::vector<Clock>
@@ -144,9 +132,7 @@ Chip::Chip(const ChipConfig &config,
                  epoch_table_.data()),
       kernel_(Processor::kernelFromEnv())
 {
-    // Sequential-mode coherence wakes deliver through the chip's
-    // fabric; the parallel stepper overrides this path with the
-    // deferred queue.
+    // Coherence invalidations wake remote cores through the fabric.
     icp_.attachFabric(&fabric_);
 }
 
@@ -166,26 +152,14 @@ Chip::run()
             cores_[static_cast<size_t>(c)]->progressStop();
     }
 
-    worker_claims_.clear();
-    parallel_rounds_ = 0;
-
     obs::ensureInitFromEnv();
     const bool traced =
         obs::Tracer::instance().beginRun("chip", cfg_.cores);
 
-    if (kernel_ == Processor::Kernel::Reference) {
-        // The oracle stays sequential: it defines the order the
-        // parallel kernel must reproduce.
+    if (kernel_ == Processor::Kernel::Reference)
         scheduler_.runReference(progress.data(), cfg_.cores);
-    } else {
-        unsigned threads = std::min<unsigned>(
-            chipThreads(), static_cast<unsigned>(cfg_.cores));
-        if (threads <= 1 || onPoolWorker())
-            scheduler_.runEvent(progress.data(), cfg_.cores);
-        else
-            runEventParallel(progress.data(),
-                             static_cast<int>(threads));
-    }
+    else
+        scheduler_.runEvent(progress.data(), cfg_.cores);
 
     if (traced)
         obs::Tracer::instance().endRun();
@@ -205,8 +179,6 @@ Chip::run()
     out.fill_merges = l2_.fillMerges();
     out.invalidations = l2_.invalidationsSent();
     out.ownership_transfers = l2_.ownershipTransfers();
-    out.worker_claims = worker_claims_;
-    out.parallel_rounds = parallel_rounds_;
 
     // Chip telemetry folds into the metrics registry (the
     // machine-readable mirror of the ChipRunStats telemetry fields;
@@ -214,7 +186,6 @@ Chip::run()
     // observational — nothing here feeds back into a simulation.
     obs::MetricsRegistry &m = obs::MetricsRegistry::instance();
     m.add("chip.runs", 1);
-    m.add("chip.parallel_rounds", parallel_rounds_);
     m.add("chip.total_committed", out.total_committed);
     m.add("chip.l2.accesses", out.l2_accesses);
     m.add("chip.l2.misses", out.l2_misses);
@@ -223,202 +194,7 @@ Chip::run()
     m.add("chip.l2.fill_merges", out.fill_merges);
     m.add("chip.coh.invalidations", out.invalidations);
     m.add("chip.coh.ownership_transfers", out.ownership_transfers);
-    for (size_t w = 0; w < worker_claims_.size(); ++w) {
-        m.add(csprintf("chip.worker_claims.w%zu", w),
-              worker_claims_[w]);
-    }
     return out;
-}
-
-Tick
-Chip::computeHorizon(Tick from) const
-{
-    Tick fill = l2_.nextFillCompletionAfter(from);
-    Tick cap = from + kChipEpochHorizonPs;
-    // A coherent chip can publish an invalidation from any step in
-    // the round, delivered coh_delay later; capping the window at
-    // from + coh_delay guarantees every such wake lands at or after
-    // the window's end (the drain's horizon tripwire).
-    if (l2_.coherent())
-        cap = std::min(cap, from + l2_.params().coh_delay_ps);
-    return fill < cap ? fill : cap;
-}
-
-void
-Chip::runEventParallel(const CoreProgress *progress, int nworkers)
-{
-    fabric_.setEventMode(true);
-    fabric_.beginEventRun();
-
-    ChipSyncState sync;
-    sync.nworkers = nworkers;
-
-    // Chip-level per-core done flags: the per-round groups are
-    // rebuilt from these at every claim phase. Written mid-round
-    // only by the core's owning worker and read only at/after the
-    // barrier, so no two threads ever race on an entry.
-    std::array<bool, kMaxCores> core_done{};
-    for (int c = 0; c < cfg_.cores; ++c) {
-        bool fin = *progress[c].progress >= progress[c].target;
-        core_done[static_cast<size_t>(c)] = fin;
-        if (fin) {
-            for (int k = c * kNumDomains; k < (c + 1) * kNumDomains;
-                 ++k) {
-                fabric_.park(k);
-            }
-        }
-    }
-
-    // Work-stealing round state: the round's live cores (ascending)
-    // plus the atomic cursor workers race on after each barrier. The
-    // cursor hands each live core to exactly one worker; since the
-    // worklist is ascending and a worker's claims are a subsequence
-    // of it, every group's members stay sorted by core index — which
-    // keeps the group-head tie-break (lowest global index) equal to
-    // the reference kernel's.
-    std::array<int, kMaxCores> round_cores{};
-    int nclaim = 0;
-    std::atomic<int> claim_next{0};
-
-    std::array<GroupRun, kMaxChipWorkers> groups{};
-    worker_claims_.assign(static_cast<size_t>(nworkers), 0);
-    parallel_rounds_ = 0;
-
-    // Settle one round boundary: merge the deferred cross-core
-    // wakes, rebuild the live-core worklist, zero every front (order
-    // point 0 precedes every real point, so all gates conservatively
-    // block until each worker has claimed its cores and published a
-    // genuine front), and open the next window. Runs single-threaded
-    // — at init and inside the barrier's completion step, which the
-    // barrier orders against all workers.
-    Tick horizon = 0;
-    Tick window_start = 0;
-    bool stop = false;
-    auto settleRound = [&]() noexcept {
-        icp_.drainDeferred(fabric_, window_start, horizon);
-        Tick from = kTickMax;
-        nclaim = 0;
-        for (int c = 0; c < cfg_.cores; ++c) {
-            if (core_done[static_cast<size_t>(c)])
-                continue;
-            round_cores[static_cast<size_t>(nclaim++)] = c;
-            for (int k = c * kNumDomains; k < (c + 1) * kNumDomains;
-                 ++k) {
-                Tick key = fabric_.key(k);
-                if (key < from)
-                    from = key;
-            }
-        }
-        if (nclaim == 0) {
-            stop = true;
-            return;
-        }
-        GALS_ASSERT(from != kTickMax,
-                    "event kernel: every domain parked across all "
-                    "workers with no deferred wake (missing wakeup "
-                    "port)");
-        window_start = from;
-        horizon = computeHorizon(from);
-        claim_next.store(0, std::memory_order_relaxed);
-        for (int w = 0; w < nworkers; ++w) {
-            sync.fronts[static_cast<size_t>(w)].v.store(
-                0, std::memory_order_release);
-        }
-        ++parallel_rounds_;
-        // Round boundary on the chip-level trace track: recorded
-        // single-threaded (init / barrier completion step), with the
-        // nondecreasing window starts as timestamps.
-        if (obs::tracing()) {
-            obs::Tracer::instance().chip(obs::Ev::Round, window_start,
-                                         horizon);
-        }
-    };
-    settleRound();
-    if (stop)
-        return;
-
-    icp_.beginParallel(&sync);
-    std::barrier bar(nworkers, settleRound);
-    // The caller is the thread that claimed the tracer (if any);
-    // workers join the traced run for the duration of the stepping.
-    const bool traced = obs::tracing();
-    if (traced)
-        obs::Tracer::instance().setRunWorkers(nworkers);
-    chipParallelRun(static_cast<size_t>(nworkers), [&](size_t w) {
-        if (traced)
-            obs::Tracer::adoptThread(true);
-        obs::Tracer &tr = obs::Tracer::instance();
-        GroupRun &g = groups[w];
-        for (;;) {
-            std::uint64_t t_start = 0;
-            std::uint64_t cpu_start = 0;
-            if (traced) {
-                t_start = tr.hostNow();
-                cpu_start = obs::Tracer::hostThreadCpuNs();
-            }
-            // Claim phase: race the cursor over this round's live
-            // cores. worker_of_core is written by the claiming
-            // worker and read only by that worker's own gates this
-            // round; cross-round handoffs are ordered by the
-            // barrier. Which worker wins a core cannot change
-            // results — the interconnect gates and the deferred
-            // merge order every shared-state touch by global step
-            // order regardless of the partition.
-            g.nmembers = 0;
-            g.active = 0;
-            g.steps = 0;
-            g.last_progress = 0;
-            for (;;) {
-                int i = claim_next.fetch_add(
-                    1, std::memory_order_relaxed);
-                if (i >= nclaim)
-                    break;
-                int c = round_cores[static_cast<size_t>(i)];
-                sync.worker_of_core[static_cast<size_t>(c)] =
-                    static_cast<int>(w);
-                g.members[static_cast<size_t>(g.nmembers)] = c;
-                g.done[static_cast<size_t>(g.nmembers)] = false;
-                ++g.nmembers;
-                ++g.active;
-                g.last_progress += *progress[c].progress;
-                if (traced) {
-                    tr.hostWait(static_cast<int>(w),
-                                obs::Ev::StealClaim, tr.hostNow(),
-                                static_cast<std::uint64_t>(c));
-                }
-            }
-            worker_claims_[w] +=
-                static_cast<std::uint64_t>(g.nmembers);
-            // Publishes the group's real front before its first step
-            // (kDone immediately when this worker claimed nothing).
-            scheduler_.stepGroupUntil(g, progress, horizon, &sync,
-                                      static_cast<int>(w));
-            for (int mi = 0; mi < g.nmembers; ++mi) {
-                if (g.done[static_cast<size_t>(mi)]) {
-                    core_done[static_cast<size_t>(
-                        g.members[static_cast<size_t>(mi)])] = true;
-                }
-            }
-            if (traced) {
-                const std::uint64_t t_arrive = tr.hostNow();
-                tr.hostSpan(
-                    static_cast<int>(w), obs::Ev::WorkerRound,
-                    t_start, t_arrive,
-                    static_cast<std::uint64_t>(g.nmembers),
-                    obs::Tracer::hostThreadCpuNs() - cpu_start);
-                bar.arrive_and_wait();
-                tr.hostSpan(static_cast<int>(w), obs::Ev::BarrierWait,
-                            t_arrive, tr.hostNow());
-            } else {
-                bar.arrive_and_wait();
-            }
-            if (stop)
-                break;
-        }
-        if (traced)
-            obs::Tracer::adoptThread(false);
-    });
-    icp_.endParallel();
 }
 
 } // namespace gals

@@ -82,18 +82,6 @@ struct ChipRunStats
     std::uint64_t invalidations = 0;
     std::uint64_t ownership_transfers = 0;
 
-    /**
-     * Horizon-parallel stepper telemetry — empty/zero after
-     * sequential, reference, or single-worker runs. Deliberately
-     * excluded from the bit-identity comparisons (which worker steps
-     * a core is scheduling, not simulation) and from the result-store
-     * payload (a cached row is partition-free by definition).
-     */
-    /** Cores claimed by each worker, summed across rounds. */
-    std::vector<std::uint64_t> worker_claims;
-    /** Barrier-separated stepping rounds the run took. */
-    std::uint64_t parallel_rounds = 0;
-
     /** Chip throughput: committed instructions per makespan ns. */
     double
     throughputInstrsPerNs() const
@@ -129,34 +117,8 @@ class Chip
     int coreCount() const { return cfg_.cores; }
     Core &core(int i) { return *cores_[static_cast<size_t>(i)]; }
     const SharedL2 &sharedL2() const { return l2_; }
-    /** The chip's interconnect port (tests assert the deferred-wake
-     * channel genuinely carried traffic). */
-    const InterconnectPort &interconnect() const { return icp_; }
-
-    /**
-     * End of the parallel round starting at `from`: the earliest
-     * tick a cross-core publication could first need consuming. A
-     * chip with no in-flight interconnect traffic gets a full
-     * epoch-length window; otherwise the earliest in-flight fill
-     * completing after `from` bounds the round (completed fills are
-     * the only carriers a cross-core wake can ride, and one landing
-     * exactly at the returned horizon is merged at the barrier
-     * before any core steps at or past it). Exposed for the
-     * horizon-safety tests.
-     */
-    Tick computeHorizon(Tick from) const;
 
   private:
-    /** Horizon-parallel event kernel: `nworkers` co-scheduled
-     * threads claim cores per round through an atomic cursor
-     * (work-stealing) and step between barrier-separated sync
-     * horizons (see docs/kernel.md). Bit-identical to runEvent. */
-    void runEventParallel(const CoreProgress *progress, int nworkers);
-
-    // Telemetry of the last parallel run (copied into ChipRunStats).
-    std::vector<std::uint64_t> worker_claims_;
-    std::uint64_t parallel_rounds_ = 0;
-
     ChipConfig cfg_;
     std::vector<Clock> clocks_;
     WakeFabric fabric_;

@@ -1,7 +1,6 @@
 #include "core/ports.hh"
 
 #include <algorithm>
-#include <thread>
 
 #include "cache/shared_l2.hh"
 #include "core/machine_config.hh"
@@ -58,125 +57,6 @@ InterconnectPort::InterconnectPort(SharedL2 &l2, int cores)
 }
 
 void
-InterconnectPort::gate(int core, int consumer, Tick now) const
-{
-    const ChipSyncState *s = sync_;
-    if (s == nullptr)
-        return;
-    const std::uint64_t point = ChipSyncState::pack(now, consumer);
-    const int self = s->worker_of_core[static_cast<size_t>(core)];
-    const bool rec = obs::tracing();
-    std::uint64_t spun = 0;
-    std::uint64_t spin_begin = 0;
-    for (int w = 0; w < s->nworkers; ++w) {
-        if (w == self)
-            continue;
-        // Wait until worker w's front is strictly past our order
-        // point (equality is impossible: distinct cores own distinct
-        // global domain indices). The acquire pairs with the front's
-        // release store, so every shared-bank write of w's earlier
-        // steps is visible here — and w cannot enter a request body
-        // while we are in ours, because its own gate spins on our
-        // front, which still sits at `point`.
-        std::uint64_t spins = 0;
-        while (s->fronts[static_cast<size_t>(w)].v.load(
-                   std::memory_order_acquire) <= point) {
-            if (rec && spun == 0) {
-                spin_begin = obs::Tracer::instance().hostNow();
-            }
-            ++spun;
-            if ((++spins & 0x3ff) == 0)
-                std::this_thread::yield();
-            GALS_ASSERT(spins < 20'000'000'000ull,
-                        "interconnect gate stalled: worker %d's front "
-                        "never passed t=%llu (global domain %d)",
-                        w, static_cast<unsigned long long>(now),
-                        consumer);
-        }
-    }
-    if (rec && spun > 0) {
-        obs::Tracer &tr = obs::Tracer::instance();
-        tr.hostWaitSpan(self, obs::Ev::GateSpin, spin_begin,
-                        tr.hostNow(), spun);
-    }
-}
-
-void
-InterconnectPort::deferWake(Tick pub_tick, int publisher, int consumer,
-                            Tick when, int target_core, Addr line_base)
-{
-    // Appends need no lock: production publishers sit inside gated
-    // request bodies, which the fronts make temporally exclusive.
-    deferred_.push_back(DeferredWake{pub_tick, publisher, consumer,
-                                     when, target_core, line_base});
-}
-
-void
-InterconnectPort::drainDeferred(WakeFabric &fabric, Tick window_start,
-                                Tick window_end)
-{
-    Tick last_tick = 0;
-    int last_pub = -1;
-    for (const DeferredWake &dw : deferred_) {
-        // Stale publication: the publisher's step ran inside the
-        // just-finished window, so its tick cannot precede the
-        // window's start — an earlier tick means the wake survived a
-        // previous round's drain or was forged outside a gated body.
-        GALS_ASSERT(dw.pub_tick >= window_start,
-                    "stale publication: cross-core wake published at "
-                    "t=%llu before the round window starting at "
-                    "t=%llu",
-                    static_cast<unsigned long long>(dw.pub_tick),
-                    static_cast<unsigned long long>(window_start));
-        GALS_ASSERT(dw.pub_tick > last_tick ||
-                        (dw.pub_tick == last_tick &&
-                         dw.publisher >= last_pub),
-                    "merge order violation: cross-core wake published "
-                    "at t=%llu by global domain %d queued after one "
-                    "from t=%llu by global domain %d",
-                    static_cast<unsigned long long>(dw.pub_tick),
-                    dw.publisher,
-                    static_cast<unsigned long long>(last_tick),
-                    last_pub);
-        last_tick = dw.pub_tick;
-        last_pub = dw.publisher;
-        // The cross-core publication order rule, same shape as
-        // WakeHub::consumableAt under the global (core-major) index.
-        Tick consumable = dw.consumer < dw.publisher ? dw.pub_tick + 1
-                                                     : dw.pub_tick;
-        GALS_ASSERT(dw.when >= consumable,
-                    "publication order violation: cross-core wake of "
-                    "global domain %d at t=%llu from global domain "
-                    "%d's step at t=%llu",
-                    dw.consumer,
-                    static_cast<unsigned long long>(dw.when),
-                    dw.publisher,
-                    static_cast<unsigned long long>(dw.pub_tick));
-        // Horizon safety: workers stepped strictly below window_end,
-        // so a wake landing before it would rewrite already-executed
-        // steps. The horizon computation clamps each round to the
-        // earliest in-flight carrier, making this unreachable — a
-        // fill landing exactly at the boundary is the tight case.
-        GALS_ASSERT(dw.when >= window_end,
-                    "horizon violation: cross-core wake at t=%llu "
-                    "inside the round window ending at t=%llu",
-                    static_cast<unsigned long long>(dw.when),
-                    static_cast<unsigned long long>(window_end));
-        // Inbox payloads land here, single-threaded, in the same
-        // (pub_tick, publisher) order the sequential kernel pushes
-        // them in — the consumer's mid-round drain never races a
-        // producer.
-        if (dw.target_core >= 0) {
-            l2_.inboxes_[static_cast<size_t>(dw.target_core)]
-                .msgs.push_back(SharedL2::CohMsg{dw.line_base, dw.when});
-        }
-        fabric.wakeRaw(dw.consumer, dw.when);
-        ++deferred_drained_;
-    }
-    deferred_.clear();
-}
-
-void
 InterconnectPort::bankPublish(int bank, int consumer, Tick now)
 {
     SharedL2::Bank &b = l2_.banks_[static_cast<size_t>(bank)];
@@ -201,7 +81,6 @@ InterconnectPort::request(int core, DomainId consumer_local, Addr addr,
     const int bank = l2_.bankOf(addr);
     const int consumer =
         core * kNumDomains + static_cast<int>(consumer_local);
-    gate(core, consumer, now);
     bankPublish(bank, consumer, now);
 
     SharedL2::Bank &b = l2_.banks_[static_cast<size_t>(bank)];
@@ -356,10 +235,9 @@ InterconnectPort::publishStore(int core, Addr addr, Tick now)
                 "coherence publication from an unknown core");
     const int publisher =
         core * kNumDomains + static_cast<int>(DomainId::LoadStore);
-    // Directory state is shared bank state: order the publication
-    // exactly like a request (and let the tripwire reject a
-    // same-tick publication after a higher-indexed touch).
-    gate(core, publisher, now);
+    // Directory state is shared bank state: the tripwire rejects a
+    // same-tick publication after a higher-indexed touch, exactly as
+    // for a request.
     bankPublish(l2_.bankOf(addr), publisher, now);
 
     const Addr line_base = addr & ~static_cast<Addr>(
@@ -372,10 +250,8 @@ InterconnectPort::publishStore(int core, Addr addr, Tick now)
     // Invalidate every remote sharer: each message wakes that core's
     // load/store unit at the delivery time. `when` is strictly after
     // `now` (coh_delay > 0), so the cross-core publication-order rule
-    // holds for any consumer index. Under the parallel stepper the
-    // wake and its inbox payload ride the deferred queue and merge at
-    // the round barrier; sequentially they are delivered in place —
-    // both paths append to the inbox in (pub_tick, publisher) order.
+    // holds for any consumer index. Messages are appended to the
+    // inbox in (pub_tick, publisher) order, the global step order.
     static_assert(kMaxCores <= 16,
                   "DirEntry::sharers is a 16-bit core mask");
     const std::uint16_t self = static_cast<std::uint16_t>(1u << core);
@@ -393,14 +269,10 @@ InterconnectPort::publishStore(int core, Addr addr, Tick now)
                 publisher, obs::Ev::CohInvalidate, now,
                 static_cast<std::uint64_t>(c), line_base);
         }
-        if (sync_ != nullptr) {
-            deferWake(now, publisher, consumer, when, c, line_base);
-        } else {
-            l2_.inboxes_[static_cast<size_t>(c)].msgs.push_back(
-                SharedL2::CohMsg{line_base, when});
-            if (fabric_ != nullptr)
-                fabric_->wakeRaw(consumer, when);
-        }
+        l2_.inboxes_[static_cast<size_t>(c)].msgs.push_back(
+            SharedL2::CohMsg{line_base, when});
+        if (fabric_ != nullptr)
+            fabric_->wakeRaw(consumer, when);
     }
 }
 
@@ -475,17 +347,12 @@ InterconnectPort::bHits(int core) const
 }
 
 void
-InterconnectPort::reconfigure(int core, int target, Tick now)
+InterconnectPort::reconfigure(int core, int target)
 {
     // The shared partition and latency row follow core 0's D-cache
     // controller only; other cores' votes reconfigure their L1.
     if (core != 0)
         return;
-    // The row/partition write is shared state read by every core's
-    // requests, so it is ordered like one: the decision runs inside
-    // core 0's load/store step at `now`.
-    gate(core, core * kNumDomains + static_cast<int>(DomainId::LoadStore),
-         now);
     l2_.row_ = target;
     const DCachePairConfig &dc = dcachePairConfig(target);
     l2_.cache_.setPartition(dc.l2_adapt.assoc, l2_.p_.phase_adaptive);

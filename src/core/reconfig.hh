@@ -72,7 +72,7 @@ class ReconfigUnit
     std::uint64_t relocks() const;
 
   private:
-    void applyStructure(Structure s, int target, Tick now);
+    void applyStructure(Structure s, int target);
     int currentIndexOf(Structure s) const;
     static DomainId domainOf(Structure s);
 

@@ -227,106 +227,6 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
 }
 
 void
-DomainScheduler::stepGroupUntil(GroupRun &g, const CoreProgress *cores,
-                                Tick horizon, ChipSyncState *sync,
-                                int worker)
-{
-    auto publish = [&](std::uint64_t v) {
-        sync->fronts[static_cast<size_t>(worker)].v.store(
-            v, std::memory_order_release);
-    };
-    auto groupProgress = [&]() {
-        std::uint64_t sum = 0;
-        for (int mi = 0; mi < g.nmembers; ++mi)
-            sum += *cores[g.members[static_cast<size_t>(mi)]].progress;
-        return sum;
-    };
-
-    while (g.active > 0) {
-        // Group head: earliest calendar key over the live members'
-        // domains, lowest global index on ties (ascending scan with
-        // strict <) — the reference order restricted to this group.
-        int d = -1;
-        Tick best = kTickMax;
-        for (int mi = 0; mi < g.nmembers; ++mi) {
-            if (g.done[static_cast<size_t>(mi)])
-                continue;
-            int c = g.members[static_cast<size_t>(mi)];
-            for (int k = c * kNumDomains; k < (c + 1) * kNumDomains;
-                 ++k) {
-                Tick key = fabric_.key(k);
-                if (key < best) {
-                    best = key;
-                    d = k;
-                }
-            }
-        }
-        // The front is the promise "no step of my cores below this
-        // point remains"; publish it before acting on the head, so
-        // other workers' gates release exactly when the global order
-        // allows them to.
-        publish(ChipSyncState::pack(best, d < 0 ? 0 : d));
-        if (d < 0 || best >= horizon) {
-            // All live members parked (a deferred cross-core wake at
-            // the barrier may re-arm them — the driver panics if
-            // none is queued), or the window is exhausted.
-            return;
-        }
-
-        size_t di = static_cast<size_t>(d);
-        Tick edge = clocks_[di].nextEdge();
-        if (fabric_.bound(d) > edge) {
-            advanceClockWhileBelow(d, fabric_.bound(d));
-            Tick ne = clocks_[di].nextEdge();
-            if (ne != edge) {
-                fabric_.setKey(d, ne);
-                continue;
-            }
-            // No progress: a pending period change lands on this
-            // very edge — deliver it with a real step (see runEvent).
-        }
-        if (obs::tracing())
-            obs::Tracer::instance().domainStep(d, edge,
-                                               clocks_[di].period());
-        Tick raw = domains_[d]->step(edge);
-        Tick w = advanceClock(d) ? 0 : domains_[d]->clampBound(raw);
-        fabric_.setBound(d, w);
-        if (w == kTickMax)
-            fabric_.park(d);
-        else
-            fabric_.setKey(d, std::max(clocks_[di].nextEdge(), w));
-
-        int c = d / kNumDomains;
-        for (int mi = 0; mi < g.nmembers; ++mi) {
-            if (g.members[static_cast<size_t>(mi)] != c)
-                continue;
-            if (!g.done[static_cast<size_t>(mi)] &&
-                *cores[c].progress >= cores[c].target) {
-                g.done[static_cast<size_t>(mi)] = true;
-                --g.active;
-                for (int k = c * kNumDomains;
-                     k < (c + 1) * kNumDomains; ++k) {
-                    fabric_.park(k);
-                }
-            }
-            break;
-        }
-
-        if (++g.steps >= 8'000'000) {
-            std::uint64_t progress = groupProgress();
-            GALS_ASSERT(progress != g.last_progress,
-                        "no commit in 8M domain steps: deadlock at "
-                        "t=%llu (committed=%llu)",
-                        static_cast<unsigned long long>(edge),
-                        static_cast<unsigned long long>(progress));
-            g.steps = 0;
-            g.last_progress = progress;
-        }
-    }
-    publish(ChipSyncState::kDone);
-}
-
-void
 DomainScheduler::runEvent(const std::uint64_t &progress,
                           std::uint64_t target)
 {

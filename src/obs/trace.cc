@@ -1,31 +1,18 @@
 #include "obs/trace.hh"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <mutex>
 
 #include "common/logging.hh"
 #include "control/reconfig_trace.hh"
-#include "core/ports.hh"
 #include "obs/metrics.hh"
-#include "sim/parallel.hh"
 
 namespace gals
 {
 
 namespace obs
 {
-
-// The obs layer redeclares the worker/core ceilings to stay
-// include-acyclic under the port and parallel layers; these keep the
-// copies honest.
-static_assert(kTraceMaxWorkers ==
-                  static_cast<int>(kMaxChipWorkers),
-              "tracer worker ceiling out of step with the chip pool");
-static_assert(kTraceMaxWorkers >= kMaxCores,
-              "tracer worker ceiling below the supported core count");
 
 namespace detail
 {
@@ -62,11 +49,6 @@ evInfo(Ev kind)
         {"mshr_wait", "l2"},            // MshrWait
         {"l2_fill", "l2"},              // L2Fill
         {"fill_merge", "l2"},           // FillMerge
-        {"round", "chip"},              // Round
-        {"worker_round", "host"},       // WorkerRound
-        {"barrier_wait", "host"},       // BarrierWait
-        {"gate_spin", "host"},          // GateSpin
-        {"steal_claim", "host"},        // StealClaim
     };
     return table[static_cast<size_t>(kind)];
 }
@@ -112,21 +94,6 @@ evArgs(const TraceRecord &e)
         return csprintf("{\"bank\": %llu, \"done_ps\": %llu}",
                         static_cast<unsigned long long>(e.a0),
                         static_cast<unsigned long long>(e.a1));
-      case Ev::Round:
-        return csprintf("{\"horizon_ps\": %llu}",
-                        static_cast<unsigned long long>(e.a0));
-      case Ev::WorkerRound:
-        return csprintf("{\"claims\": %llu, \"cpu_ns\": %llu}",
-                        static_cast<unsigned long long>(e.a0),
-                        static_cast<unsigned long long>(e.a1));
-      case Ev::GateSpin:
-        return csprintf("{\"spins\": %llu}",
-                        static_cast<unsigned long long>(e.a0));
-      case Ev::StealClaim:
-        return csprintf("{\"core\": %llu}",
-                        static_cast<unsigned long long>(e.a0));
-      case Ev::BarrierWait:
-        break;
     }
     return "{}";
 }
@@ -144,12 +111,12 @@ emitMeta(std::FILE *f, bool &first, int pid, int tid,
 
 void
 emitEvent(std::FILE *f, bool &first, int pid, int tid,
-          const TraceRecord &e, bool host)
+          const TraceRecord &e)
 {
-    // Simulated ticks are ps, host stamps are ns; Chrome trace ts is
-    // microseconds. Both conversions are exact in decimal text.
-    const double scale = host ? 1e-3 : 1e-6;
-    const int prec = host ? 3 : 6;
+    // Simulated ticks are ps; Chrome trace ts is microseconds. The
+    // conversion is exact in decimal text.
+    constexpr double scale = 1e-6;
+    constexpr int prec = 6;
     const EvInfo &info = evInfo(e.kind);
     const std::string args = evArgs(e);
     if (e.dur > 0) {
@@ -176,20 +143,10 @@ emitEvent(std::FILE *f, bool &first, int pid, int tid,
 }
 
 std::string
-simTrackName(int gd, int ndomaintracks)
+trackName(int gd)
 {
-    if (gd == ndomaintracks)
-        return "chip";
     return csprintf("core%d/%s", gd / kNumDomains,
                     kDomainSuffix[gd % kNumDomains]);
-}
-
-std::string
-hostTrackName(int slot)
-{
-    const int w = slot / 2;
-    return (slot & 1) ? csprintf("worker%d/waits", w)
-                      : csprintf("worker%d", w);
 }
 
 std::once_flag g_env_init_once;
@@ -230,8 +187,6 @@ Tracer::configure(const std::string &path)
     std::fclose(f);
     path_ = path;
     enabled_ = true;
-    host_epoch_ns_ = 0;
-    host_epoch_ns_ = hostNow();
     if (!exit_hook_registered_) {
         exit_hook_registered_ = true;
         std::atexit([]() {
@@ -282,19 +237,11 @@ Tracer::beginRun(const char *label, int ncores)
     }
     auto rt = std::make_unique<RunTrace>();
     rt->label = label;
-    rt->ncores = ncores;
-    rt->sim.resize(static_cast<size_t>(ncores) * kNumDomains + 1);
+    rt->tracks.resize(static_cast<size_t>(ncores) * kNumDomains);
     cur_ = rt.get();
     runs_.push_back(std::move(rt));
     detail::t_recording = true;
     return true;
-}
-
-void
-Tracer::setRunWorkers(int nworkers)
-{
-    if (cur_ != nullptr)
-        cur_->nworkers = nworkers;
 }
 
 void
@@ -303,12 +250,6 @@ Tracer::endRun()
     detail::t_recording = false;
     cur_ = nullptr;
     run_active_.store(false, std::memory_order_release);
-}
-
-void
-Tracer::adoptThread(bool on)
-{
-    detail::t_recording = on;
 }
 
 void
@@ -338,7 +279,7 @@ Tracer::domainStep(int gd, Tick edge, Tick period)
     RunTrace *rt = cur_;
     if (!detail::t_recording || rt == nullptr)
         return;
-    Track &t = rt->sim[static_cast<size_t>(gd)];
+    Track &t = rt->tracks[static_cast<size_t>(gd)];
     // Contiguous (or overlapping, under jitter wobble) steps merge
     // into one busy span; sleep is the gap between spans.
     if (!t.events.empty()) {
@@ -363,69 +304,7 @@ Tracer::sim(int gd, Ev kind, Tick ts, std::uint64_t a0,
     RunTrace *rt = cur_;
     if (!detail::t_recording || rt == nullptr)
         return;
-    record(rt->sim[static_cast<size_t>(gd)], kind, ts, 0, a0, a1);
-}
-
-void
-Tracer::chip(Ev kind, Tick ts, std::uint64_t a0)
-{
-    RunTrace *rt = cur_;
-    if (!detail::t_recording || rt == nullptr)
-        return;
-    record(rt->sim.back(), kind, ts, 0, a0, 0);
-}
-
-std::uint64_t
-Tracer::hostNow() const
-{
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            now.time_since_epoch())
-            .count());
-    return ns - host_epoch_ns_;
-}
-
-std::uint64_t
-Tracer::hostThreadCpuNs()
-{
-    struct timespec ts;
-    if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0)
-        return 0;
-    return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-           static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-void
-Tracer::hostSpan(int w, Ev kind, std::uint64_t begin,
-                 std::uint64_t end, std::uint64_t a0, std::uint64_t a1)
-{
-    RunTrace *rt = cur_;
-    if (!detail::t_recording || rt == nullptr)
-        return;
-    record(rt->host[static_cast<size_t>(2 * w)], kind, begin,
-           end > begin ? end - begin : 1, a0, a1);
-}
-
-void
-Tracer::hostWaitSpan(int w, Ev kind, std::uint64_t begin,
-                     std::uint64_t end, std::uint64_t a0)
-{
-    RunTrace *rt = cur_;
-    if (!detail::t_recording || rt == nullptr)
-        return;
-    record(rt->host[static_cast<size_t>(2 * w + 1)], kind, begin,
-           end > begin ? end - begin : 1, a0, 0);
-}
-
-void
-Tracer::hostWait(int w, Ev kind, std::uint64_t ts, std::uint64_t a0)
-{
-    RunTrace *rt = cur_;
-    if (!detail::t_recording || rt == nullptr)
-        return;
-    record(rt->host[static_cast<size_t>(2 * w + 1)], kind, ts, 0, a0,
-           0);
+    record(rt->tracks[static_cast<size_t>(gd)], kind, ts, 0, a0, a1);
 }
 
 bool
@@ -458,45 +337,23 @@ Tracer::writeTo(const std::string &path) const
     std::fprintf(f, "  \"traceEvents\": [\n");
     bool first = true;
     for (size_t i = 0; i < runs_.size(); ++i) {
+        // Run i is process i + 1; its tids are global domain
+        // indices (core * kNumDomains + local domain).
         const RunTrace &rt = *runs_[i];
-        const int sim_pid = static_cast<int>(2 * i + 1);
-        const int host_pid = static_cast<int>(2 * i + 2);
-        const int ndomaintracks =
-            static_cast<int>(rt.sim.size()) - 1;
-        emitMeta(f, first, sim_pid, 0, "process_name",
-                 csprintf("sim run%zu: %s", i, rt.label.c_str()));
-        for (int tid = 0; tid < static_cast<int>(rt.sim.size());
+        const int pid = static_cast<int>(i + 1);
+        emitMeta(f, first, pid, 0, "process_name",
+                 csprintf("run%zu: %s", i, rt.label.c_str()));
+        for (int tid = 0; tid < static_cast<int>(rt.tracks.size());
              ++tid) {
-            if (rt.sim[static_cast<size_t>(tid)].events.empty())
+            if (rt.tracks[static_cast<size_t>(tid)].events.empty())
                 continue;
-            emitMeta(f, first, sim_pid, tid, "thread_name",
-                     simTrackName(tid, ndomaintracks));
+            emitMeta(f, first, pid, tid, "thread_name", trackName(tid));
         }
-        bool any_host = false;
-        for (size_t s = 0; s < rt.host.size(); ++s) {
-            if (rt.host[s].events.empty())
-                continue;
-            if (!any_host) {
-                any_host = true;
-                emitMeta(f, first, host_pid, 0, "process_name",
-                         csprintf("host run%zu: %s (%d workers)", i,
-                                  rt.label.c_str(), rt.nworkers));
-            }
-            emitMeta(f, first, host_pid, static_cast<int>(s),
-                     "thread_name",
-                     hostTrackName(static_cast<int>(s)));
-        }
-        for (int tid = 0; tid < static_cast<int>(rt.sim.size());
+        for (int tid = 0; tid < static_cast<int>(rt.tracks.size());
              ++tid) {
             for (const TraceRecord &e :
-                 rt.sim[static_cast<size_t>(tid)].events) {
-                emitEvent(f, first, sim_pid, tid, e, false);
-            }
-        }
-        for (size_t s = 0; s < rt.host.size(); ++s) {
-            for (const TraceRecord &e : rt.host[s].events) {
-                emitEvent(f, first, host_pid, static_cast<int>(s), e,
-                          true);
+                 rt.tracks[static_cast<size_t>(tid)].events) {
+                emitEvent(f, first, pid, tid, e);
             }
         }
     }
@@ -528,23 +385,13 @@ Tracer::trackViews() const
     std::vector<TrackView> out;
     for (size_t i = 0; i < runs_.size(); ++i) {
         const RunTrace &rt = *runs_[i];
-        const int ndomaintracks =
-            static_cast<int>(rt.sim.size()) - 1;
-        for (int tid = 0; tid < static_cast<int>(rt.sim.size());
+        for (int tid = 0; tid < static_cast<int>(rt.tracks.size());
              ++tid) {
-            const Track &t = rt.sim[static_cast<size_t>(tid)];
+            const Track &t = rt.tracks[static_cast<size_t>(tid)];
             if (t.events.empty())
                 continue;
-            out.push_back(TrackView{
-                simTrackName(tid, ndomaintracks),
-                static_cast<int>(i), false, &t.events});
-        }
-        for (size_t s = 0; s < rt.host.size(); ++s) {
-            if (rt.host[s].events.empty())
-                continue;
-            out.push_back(TrackView{
-                hostTrackName(static_cast<int>(s)),
-                static_cast<int>(i), true, &rt.host[s].events});
+            out.push_back(
+                TrackView{trackName(tid), static_cast<int>(i), &t.events});
         }
     }
     return out;
@@ -555,9 +402,7 @@ Tracer::eventsRecorded() const
 {
     std::uint64_t n = 0;
     for (const auto &rt : runs_) {
-        for (const Track &t : rt->sim)
-            n += t.events.size();
-        for (const Track &t : rt->host)
+        for (const Track &t : rt->tracks)
             n += t.events.size();
     }
     return n;
@@ -568,9 +413,7 @@ Tracer::eventsDropped() const
 {
     std::uint64_t n = 0;
     for (const auto &rt : runs_) {
-        for (const Track &t : rt->sim)
-            n += t.dropped;
-        for (const Track &t : rt->host)
+        for (const Track &t : rt->tracks)
             n += t.dropped;
     }
     return n;

@@ -1,7 +1,6 @@
 /**
  * @file
- * Index-parallel helper for the sweep layer, plus the chip-stepping
- * worker pool of the horizon-parallel CMP kernel.
+ * Index-parallel helper for the sweep layer.
  *
  * Simulations are independent and deterministic, so running them on a
  * few host threads changes nothing but wall-clock time. Unlike the
@@ -19,31 +18,26 @@
  * run inline on the calling worker, which both bounds the thread
  * fan-out and keeps the arena affinity.
  *
- * The ChipPool below is a second, smaller pool with a different
- * contract: a horizon-parallel chip run needs every core group
- * resident on its *own* thread simultaneously (the groups block on
- * each other's interconnect fronts), so its slots are not chunked
- * work items but co-scheduled peers. GALS_CHIP_THREADS picks the
- * intra-chip worker count (default 1 = the sequential kernel, which
- * leaves every existing golden byte-identical); a chip run that is
- * itself inside a sweep worker always runs sequentially, so the two
- * pools compose without nested fan-out.
+ * A chip run steps all of its cores on the calling thread; chip
+ * sweeps get their parallelism from this pool, one chip per index.
  */
 
 #ifndef GALS_SIM_PARALLEL_HH
 #define GALS_SIM_PARALLEL_HH
 
 #include <atomic>
-#include <cerrno>
+#include <climits>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdlib>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace gals
 {
@@ -215,141 +209,7 @@ class SweepPool
     bool stop_ = false;
 };
 
-/**
- * Co-scheduled peer pool for horizon-parallel chip stepping. Unlike
- * SweepPool's chunked indices, every slot of a run must occupy a
- * distinct thread for the whole call: the chip's core groups spin on
- * each other's interconnect fronts, so multiplexing two slots onto
- * one thread would deadlock. The caller participates as slot 0 and
- * the pool's persistent workers take the rest; workers flag
- * themselves as SweepPool workers so any parallelFor (or nested chip
- * run) issued from inside a slot runs inline.
- */
-class ChipPool
-{
-  public:
-    static ChipPool &
-    instance()
-    {
-        static ChipPool pool;
-        return pool;
-    }
-
-    /** Run fn(w) for every w in [0, count), each on its own thread,
-     * concurrently; blocks until all slots returned. Runs are
-     * serialized against each other (one chip at a time). */
-    void
-    run(size_t count, const std::function<void(size_t)> &fn)
-    {
-        if (count <= 1) {
-            if (count == 1)
-                fn(0);
-            return;
-        }
-        std::lock_guard<std::mutex> run_lock(run_mutex_);
-        ensureThreads(count - 1);
-
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            fn_ = &fn;
-            slots_left_ = count - 1;
-            next_slot_ = 1;
-            running_ = count - 1;
-            ++generation_;
-        }
-        cv_.notify_all();
-
-        bool was_worker = SweepPool::onWorker();
-        SweepPool::onWorker() = true;
-        fn(0);
-        SweepPool::onWorker() = was_worker;
-
-        std::unique_lock<std::mutex> lock(mutex_);
-        done_cv_.wait(lock, [&] { return running_ == 0; });
-        fn_ = nullptr;
-    }
-
-  private:
-    void
-    ensureThreads(size_t n)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        while (threads_.size() < n) {
-            threads_.emplace_back([this] {
-                SweepPool::onWorker() = true;
-                workerLoop();
-            });
-        }
-    }
-
-    void
-    workerLoop()
-    {
-        std::uint64_t seen = 0;
-        for (;;) {
-            const std::function<void(size_t)> *fn;
-            size_t slot;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                cv_.wait(lock, [&] {
-                    return stop_ || (fn_ && generation_ != seen);
-                });
-                if (stop_)
-                    return;
-                seen = generation_;
-                if (slots_left_ == 0)
-                    continue; // surplus worker: sit this run out.
-                --slots_left_;
-                slot = next_slot_++;
-                fn = fn_;
-            }
-            (*fn)(slot);
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                --running_;
-            }
-            done_cv_.notify_all();
-        }
-    }
-
-    ChipPool() = default;
-
-    ~ChipPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (std::thread &t : threads_)
-            t.join();
-    }
-
-    std::mutex run_mutex_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::condition_variable done_cv_;
-    std::vector<std::thread> threads_;
-    const std::function<void(size_t)> *fn_ = nullptr;
-    std::uint64_t generation_ = 0;
-    size_t slots_left_ = 0;
-    size_t next_slot_ = 0;
-    size_t running_ = 0;
-    bool stop_ = false;
-};
-
 } // namespace detail
-
-/**
- * Largest worker count GALS_CHIP_THREADS may request. The chip pool
- * co-schedules its slots (they spin on each other's interconnect
- * fronts), so a count beyond the host's threads is legal — required,
- * even, to test the parallel kernel on small hosts — but only up to
- * the widest chip the build supports (kMaxCores in core/ports.hh;
- * chip.cc asserts the two stay in step). Anything larger is a
- * misconfiguration that would spawn useless co-resident threads.
- */
-constexpr unsigned kMaxChipWorkers = 16;
 
 /**
  * Strictly parse a thread-count environment variable. The entire
@@ -363,20 +223,18 @@ inline unsigned
 threadCountFromEnv(const char *name, const char *text,
                    unsigned fallback, unsigned ceiling)
 {
-    char *end = nullptr;
-    errno = 0;
-    long v = std::strtol(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0' || v < 1) {
+    std::optional<long long> v = parseInteger(text, 1, LLONG_MAX);
+    if (!v) {
         warn("%s=\"%s\" is not a positive integer; using %u", name,
              text, fallback);
         return fallback;
     }
-    if (static_cast<unsigned long>(v) > ceiling) {
-        warn("%s=%ld exceeds the supported maximum of %u; clamping",
-             name, v, ceiling);
+    if (*v > static_cast<long long>(ceiling)) {
+        warn("%s=%lld exceeds the supported maximum of %u; clamping",
+             name, *v, ceiling);
         return ceiling;
     }
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
 }
 
 /** Worker cap: GALS_THREADS when set (validated, clamped to the
@@ -393,44 +251,6 @@ sweepThreads()
         return threadCountFromEnv("GALS_THREADS", env, hw, hw);
     }
     return hw;
-}
-
-/**
- * Intra-chip stepping threads: GALS_CHIP_THREADS when set (validated;
- * garbage falls back to 1, the sequential kernel, so every existing
- * single-threaded gate is unchanged by default). Re-read on every
- * chip run so tests can toggle it with setenv.
- */
-inline unsigned
-chipThreads()
-{
-    if (const char *env = std::getenv("GALS_CHIP_THREADS")) {
-        return threadCountFromEnv("GALS_CHIP_THREADS", env, 1,
-                                  kMaxChipWorkers);
-    }
-    return 1;
-}
-
-/** True when the calling thread belongs to either pool: a chip run
- * here must take the sequential path (its peers could not get
- * dedicated threads without unbounded fan-out). */
-inline bool
-onPoolWorker()
-{
-    return detail::SweepPool::onWorker();
-}
-
-/**
- * Run fn(w) for w in [0, count) with every slot resident on its own
- * thread for the whole call (see detail::ChipPool). The horizon-
- * parallel chip stepper is the only intended caller.
- */
-template <typename Fn>
-void
-chipParallelRun(size_t count, Fn fn)
-{
-    std::function<void(size_t)> erased = [&](size_t w) { fn(w); };
-    detail::ChipPool::instance().run(count, erased);
 }
 
 /**

@@ -53,15 +53,15 @@ namespace gals
 {
 
 /**
- * Simulator code-version tag baked into every record. Bump it
- * whenever a change alters any simulated result (RunStats values,
- * RNG streams, timing model): stale-tag records then degrade to
- * misses instead of resurrecting old numbers. The differential and
+ * Simulator code-version tag baked into every record. Bump its
+ * trailing counter whenever a change alters any simulated result
+ * (RunStats values, RNG streams, timing model): stale-tag records then
+ * degrade to misses instead of resurrecting old numbers. The differential and
  * golden gates run cache-off, so a forgotten bump cannot corrupt
  * them — only warm-cache sweeps would serve outdated rows until the
  * tag moves.
  */
-constexpr const char *kResultStoreVersion = "gals-results-v1:pr8";
+constexpr const char *kResultStoreVersion = "gals-results-v2";
 
 /** One directory of content-addressed result records. */
 class ResultStore

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <thread>
 
 #include "sim/parallel.hh"
 #include "sim/report.hh"
@@ -38,6 +39,36 @@ TEST(Parallel, SingleThreadFallback)
     int sum = 0;
     parallelFor(10, [&](size_t i) { sum += static_cast<int>(i); }, 1);
     EXPECT_EQ(sum, 45);
+}
+
+TEST(Parallel, ThreadCountEnvParsingFallsBackAndClamps)
+{
+    // Strict full-string parsing: garbage falls back (with a logged
+    // warning) instead of silently half-parsing — an unchecked strtol
+    // would read "8x" as 8 and treat "-3" as unset.
+    EXPECT_EQ(threadCountFromEnv("T", "3", 1, 16), 3u);
+    EXPECT_EQ(threadCountFromEnv("T", "banana", 1, 16), 1u);
+    EXPECT_EQ(threadCountFromEnv("T", "8x", 1, 16), 1u);
+    EXPECT_EQ(threadCountFromEnv("T", "-3", 1, 16), 1u);
+    EXPECT_EQ(threadCountFromEnv("T", "0", 1, 16), 1u);
+    EXPECT_EQ(threadCountFromEnv("T", "", 1, 16), 1u);
+    EXPECT_EQ(threadCountFromEnv("T", "99999999999999999999", 1, 16),
+              1u);
+    EXPECT_EQ(threadCountFromEnv("T", "64", 1, 16), 16u);
+
+    // Sweep workers are independent: garbage falls back to hardware
+    // concurrency, and oversized requests clamp there.
+    unsigned hw = std::thread::hardware_concurrency();
+    if (hw == 0)
+        hw = 1;
+    setenv("GALS_THREADS", "not-a-number", 1);
+    EXPECT_EQ(sweepThreads(), hw);
+    setenv("GALS_THREADS", "1000000", 1);
+    EXPECT_EQ(sweepThreads(), hw);
+    setenv("GALS_THREADS", "1", 1);
+    EXPECT_EQ(sweepThreads(), 1u);
+    unsetenv("GALS_THREADS");
+    EXPECT_EQ(sweepThreads(), hw);
 }
 
 TEST(Sweep, All256AdaptiveConfigsUnique)
