@@ -3,15 +3,16 @@
  * Reproduces Table 5: the architectural parameters of the simulated
  * processor, including the per-mode branch mispredict penalties and
  * the resolved clock frequencies of the machines under comparison.
- * The registered benchmark measures processor construction cost.
+ * The registered benchmark measures the construction cost of a
+ * one-core chip.
  */
 
 #include "bench_util.hh"
 
+#include "cmp/chip.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/machine_config.hh"
-#include "core/processor.hh"
 #include "workload/suite.hh"
 
 using namespace gals;
@@ -99,15 +100,17 @@ printTable5()
 }
 
 void
-BM_ProcessorConstruction(benchmark::State &state)
+BM_CoreConstruction(benchmark::State &state)
 {
-    const WorkloadParams &wl = findBenchmark("gcc");
+    ChipConfig cc;
+    cc.machine = MachineConfig::mcdPhaseAdaptive();
+    const std::vector<WorkloadParams> wl{findBenchmark("gcc")};
     for (auto _ : state) {
-        Processor cpu(MachineConfig::mcdPhaseAdaptive(), wl);
-        benchmark::DoNotOptimize(&cpu);
+        Chip chip(cc, wl);
+        benchmark::DoNotOptimize(&chip);
     }
 }
-BENCHMARK(BM_ProcessorConstruction);
+BENCHMARK(BM_CoreConstruction);
 
 } // namespace
 

@@ -1,9 +1,11 @@
 /**
  * @file
- * The shared banked L2 of a chip multiprocessor: one accounting
- * cache (tag/MRU state shared by every core) in front of the shared
+ * The L2 of every chip, one core or many: one accounting cache
+ * (tag/MRU state shared by every core) in front of the shared
  * main-memory channel, split into address-interleaved banks with
- * per-bank in-flight fill (MSHR) tracking.
+ * per-bank in-flight fill (MSHR) tracking. It is the L2 half of the
+ * adaptive D-cache pair; each core's load/store unit holds the L1D
+ * half.
  *
  * This class is a *state container*: the cache contents, the bank
  * occupancy/fill state, and the per-core accounting mirrors live
@@ -17,11 +19,10 @@
  * primitives.
  *
  * Arbitration is cross-core only (the port's contract): a core is
- * never delayed behind its own requests, whose bandwidth the private
- * hierarchy already models with mem ports and MSHRs. A single-core
- * chip therefore produces bit-identical timing to the private
- * Processor hierarchy — the N=1 equivalence gate of the differential
- * suite.
+ * never delayed behind its own requests, whose bandwidth its load/
+ * store unit already models with mem ports and L1D MSHRs. On a
+ * single-core chip the bank knobs are therefore inert, which the
+ * CMP suite's knob-inertness checks pin.
  *
  * Accounting: the shared AccountingCache keeps chip-global MRU/tag
  * state (that is what "shared" means), while per-core access/miss/
@@ -51,8 +52,8 @@ class SharedL2
   public:
     struct Params
     {
-        /** Cache geometry (mirrors the private L2 of the same
-         * machine mode, so N=1 stays bit-identical). */
+        /** Cache geometry (the machine mode's L2; see
+         * cmp/chip.cc sharedL2Params). */
         std::uint64_t size_bytes = 2048 * 1024;
         int ways = 8;
         int a_ways = 8;

@@ -31,8 +31,9 @@ buildClocks(const ChipConfig &cfg)
     return clocks;
 }
 
-/** Shared-L2 geometry mirroring the private L2 of the same machine
- * mode (what makes the N=1 chip bit-identical to the Processor). */
+/** The L2 of the machine mode: the 2MB adaptive A/B pair under MCD,
+ * the frequency-optimal fixed geometry of the configured row under
+ * synchronous clocking. */
 SharedL2::Params
 sharedL2Params(const ChipConfig &cfg,
                const std::vector<WorkloadParams> &workloads)
@@ -85,7 +86,7 @@ buildCores(const ChipConfig &cfg,
         cores.push_back(std::make_unique<Core>(
             cfg.machine, workloads[static_cast<size_t>(c)], fabric,
             clocks.data() + static_cast<size_t>(c) * kNumDomains, c,
-            &icp));
+            icp));
     }
     return cores;
 }
@@ -130,7 +131,7 @@ Chip::Chip(const ChipConfig &config,
       scheduler_(domain_table_.data(), clocks_.data(),
                  cfg_.cores * kNumDomains, fabric_,
                  epoch_table_.data()),
-      kernel_(Processor::kernelFromEnv())
+      kernel_(kernelFromEnv())
 {
     // Coherence invalidations wake remote cores through the fabric.
     icp_.attachFabric(&fabric_);
@@ -156,7 +157,7 @@ Chip::run()
     const bool traced =
         obs::Tracer::instance().beginRun("chip", cfg_.cores);
 
-    if (kernel_ == Processor::Kernel::Reference)
+    if (kernel_ == Kernel::Reference)
         scheduler_.runReference(progress.data(), cfg_.cores);
     else
         scheduler_.runEvent(progress.data(), cfg_.cores);

@@ -6,23 +6,23 @@
  * reconfiguration, composed around a shared banked L2 behind the
  * cross-core interconnect port.
  *
- * The chip is the multi-core composition root over exactly the
- * pieces the Processor uses for one core: a flat clock array (global
- * domain index = core * kNumDomains + local), one WakeFabric, one
- * DomainScheduler stepping all 4N domains in the reference tie-break
- * order (time, then lowest global index), and per-core EpochBumpPorts
- * (grid epochs are per core — a PLL re-lock stales only the landing
- * core's memoized extrapolations; the shared L2/memory level is
- * analytic in raw picoseconds and grid-free).
+ * The chip is the simulator's one composition root, for one core or
+ * many: a flat clock array (global domain index = core * kNumDomains
+ * + local), one WakeFabric, one DomainScheduler stepping all 4N
+ * domains in the reference tie-break order (time, then lowest global
+ * index), and per-core EpochBumpPorts (grid epochs are per core — a
+ * PLL re-lock stales only the landing core's memoized extrapolations;
+ * the shared L2/memory level is analytic in raw picoseconds and
+ * grid-free).
  *
- * With one core the chip routes through the same shared-L2 code but
- * arbitrates nothing (the interconnect is cross-core only), so its
- * RunStats are bit-identical to the standalone Processor — the N=1
- * equivalence gate the differential suite enforces.
+ * A single-core run (sim/simulation.hh's simulate()) is a one-core
+ * chip: the interconnect arbitrates only across cores, so with one
+ * core the bank knobs (banks, fill slots, occupancy, coherence delay)
+ * are inert.
  *
  * Multiprogrammed runs give each core its own workload (and its own
  * RNG streams: workload, clocks-jitter and PLL draws are all keyed so
- * core 0 reproduces the single-core streams exactly); a finished core
+ * core 0 draws the single-core streams exactly); a finished core
  * halts while the others complete their windows.
  */
 
@@ -35,7 +35,6 @@
 #include "cache/shared_l2.hh"
 #include "clock/clock.hh"
 #include "cmp/core.hh"
-#include "core/processor.hh"
 #include "core/scheduler.hh"
 
 namespace gals
@@ -108,10 +107,10 @@ class Chip
     ChipRunStats run();
 
     /** Force a specific scheduler (tests; overrides GALS_KERNEL). */
-    void setKernel(Processor::Kernel k) { kernel_ = k; }
+    void setKernel(Kernel k) { kernel_ = k; }
 
     /** Deep structural invariant checks on every core (see
-     * Processor::setInvariantCheckInterval). */
+     * Core::setInvariantCheckInterval). */
     void setInvariantCheckInterval(std::uint32_t every);
 
     int coreCount() const { return cfg_.cores; }
@@ -129,7 +128,7 @@ class Chip
     std::vector<EpochBumpPort *> epoch_table_;
     DomainScheduler scheduler_;
 
-    Processor::Kernel kernel_;
+    Kernel kernel_;
 };
 
 } // namespace gals

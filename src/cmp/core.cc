@@ -19,8 +19,8 @@ makeCoreClocks(const MachineConfig &cfg, int core_index)
         // Stagger MCD first edges so domains do not start artificially
         // aligned; synchronous domains share one grid. The jitter
         // stream is keyed by the *global* domain index so every core
-        // of a chip draws independently, and core 0 reproduces the
-        // standalone Processor's clocks exactly.
+        // of a chip draws independently, and core 0's clocks do not
+        // depend on the core count.
         int idx = static_cast<int>(d);
         int global = core_index * kNumDomains + idx;
         Tick first = cfg.mode == ClockingMode::MCD
@@ -35,7 +35,7 @@ makeCoreClocks(const MachineConfig &cfg, int core_index)
 
 Core::Core(const MachineConfig &config, const WorkloadParams &wl,
            WakeFabric &fabric, Clock *clocks, int core_index,
-           InterconnectPort *icp)
+           InterconnectPort &icp)
     : cfg_(config), wl_params_(wl), cur_cfg_(config.adaptive),
       core_index_(core_index),
       timing_(clocks, config.mode == ClockingMode::Synchronous),

@@ -1,18 +1,17 @@
 /**
  * @file
- * One core of the GALS chip: the per-core composition unit extracted
- * from the original Processor monolith.
+ * One core of the GALS chip: the per-core composition unit.
  *
  * A Core owns the four domain units (front end, integer cluster,
  * floating-point cluster, load/store unit), their typed port set, the
  * per-core clock fabric view (CoreTiming + WakeHub window into the
  * chip's WakeFabric) and the PLL reconfiguration unit. It does *not*
- * own clocks or the step loop: the composition root (Processor for
- * one core, Chip for several) owns the flat clock array, the
- * WakeFabric and the DomainScheduler, and registers each core's
- * domain units and epoch port with them.
+ * own clocks, the L2 or the step loop: the Chip (cmp/chip.hh), the
+ * one composition root, owns the flat clock array, the WakeFabric,
+ * the shared L2 behind the interconnect port and the DomainScheduler,
+ * and registers each core's domain units and epoch port with them.
  *
- * In a chip, core `c`'s domains occupy global indices
+ * Core `c`'s domains occupy global indices
  * [c*kNumDomains, (c+1)*kNumDomains) — core-major, local order
  * preserved — which is exactly what makes the publication-order rule
  * compose across cores (see core/ports.hh).
@@ -39,8 +38,8 @@ namespace gals
 
 /** Per-domain clocks for one configured core. `core_index` keys the
  * jitter streams (global domain index), so every core of a chip gets
- * an independent stream while core 0 reproduces the standalone
- * Processor's clocks exactly. */
+ * an independent stream while core 0 draws the same stream whatever
+ * the core count. */
 std::array<Clock, 4> makeCoreClocks(const MachineConfig &cfg,
                                     int core_index);
 
@@ -54,13 +53,12 @@ class Core
      * @param fabric     the chip-level wake fabric.
      * @param clocks     this core's four clocks (owned by the root,
      *                   contiguous at global base core_index*4).
-     * @param core_index position in the chip (0 for a Processor).
-     * @param icp        the shared-L2 interconnect (chip
-     *                   compositions; null = private hierarchy).
+     * @param core_index position in the chip.
+     * @param icp        the chip's shared-L2 interconnect.
      */
     Core(const MachineConfig &config, const WorkloadParams &wl,
          WakeFabric &fabric, Clock *clocks, int core_index,
-         InterconnectPort *icp = nullptr);
+         InterconnectPort &icp);
 
     // ------------------------------------------------------------------
     // Composition-root wiring.
@@ -83,9 +81,9 @@ class Core
     {
         return wl_params_.warmup_instrs + wl_params_.sim_instrs;
     }
-    /** The scheduler stop condition for this core's window — the
-     * unit both the sequential interleave and a horizon-parallel
-     * worker group step to completion. */
+    /** The scheduler stop condition for this core's window: the
+     * scheduler halts the core once its committed count reaches the
+     * warmup + measured target. */
     CoreProgress progressStop() const;
 
     /** Measured-window statistics (after a run). */
@@ -94,7 +92,12 @@ class Core
     /** Current structure configuration (changes in phase mode). */
     const AdaptiveConfig &currentConfig() const { return cur_cfg_; }
 
-    /** See Processor::setInvariantCheckInterval. */
+    /**
+     * Run deep structural invariant checks (rename map vs free lists,
+     * ROB age order, fetch-group accounting, LSQ index consistency)
+     * every `every` front-end steps; 0 disables (the default). The
+     * differential harness turns this on.
+     */
     void setInvariantCheckInterval(std::uint32_t every);
 
     /** Panics with a description on any violated invariant. */

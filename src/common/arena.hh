@@ -2,7 +2,7 @@
  * @file
  * Thread-local recycling arena for the simulator's hot containers.
  *
- * A design-space sweep constructs and destroys hundreds of Processor
+ * A design-space sweep constructs and destroys hundreds of Chip
  * instances per worker thread, each allocating the same-shaped ROB,
  * LSQ, FIFO, regfile, cache and workload buffers. The arena keeps
  * freed blocks in per-size-class free lists instead of returning them

@@ -87,11 +87,9 @@ FrontEnd::icacheMissTime(Tick now)
 {
     // The unified L2 lives in the load/store domain: request and
     // response each cross a synchronizer.
-    const DCachePairConfig &dc = dcachePairConfig(cur_cfg_.dcache);
     Tick t_req = timing_.crossingAt(now, DomainId::FrontEnd,
                                     DomainId::LoadStore);
-    Tick served = lsu_->serveIcacheFill(staged_op_->pc, t_req, dc,
-                                        now);
+    Tick served = lsu_->serveIcacheFill(staged_op_->pc, t_req, now);
     // The ready time below extrapolates the front-end grid from this
     // serve time; keep the serve time so a PLL re-lock landing while
     // the fill is in flight can recompute the extrapolation.

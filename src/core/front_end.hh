@@ -152,13 +152,12 @@ class FrontEnd final : public Domain
     int fetch_b_lat_ = -1;
     /**
      * Pre-generated op batch: fetch refills it with one tight
-     * nextBatch() call instead of generating one op per fetch slot.
-     * Under the horizon-parallel chip stepper the refill runs inside
-     * the owning worker's round (fetch executes there), which is
-     * what takes the generator off the serial per-op path; streams
-     * are bit-exact by construction (generation is open-loop). Ops
-     * past the progress target are generated but never consumed —
-     * the generator has no side effects outside its own state.
+     * nextBatch() call instead of generating one op per fetch slot,
+     * which takes the generator's call overhead off the per-op fetch
+     * path; streams are bit-exact by construction (generation is
+     * open-loop). Ops past the progress target are generated but
+     * never consumed — the generator has no side effects outside its
+     * own state.
      */
     static constexpr int kOpBatch = 32;
     std::array<MicroOp, kOpBatch> op_batch_{};

@@ -20,10 +20,9 @@ constexpr std::uint64_t KB = 1024;
 LoadStoreUnit::LoadStoreUnit(const MachineConfig &cfg,
                              const AdaptiveConfig &cur_cfg,
                              CoreTiming &timing, Rob &rob,
-                             InterconnectPort *icp, int core_index)
+                             InterconnectPort &icp, int core_index)
     : Domain(DomainId::LoadStore, timing), cfg_(cfg),
       cur_cfg_(cur_cfg), rob_(rob), lsq_(cfg.lsq_entries),
-      memory_(kMemFirstChunkNs, kMemNextChunkNs, 64, 8),
       mshr_busy_(static_cast<size_t>(cfg.mshrs), 0), icp_(icp),
       core_index_(core_index)
 {
@@ -35,22 +34,6 @@ LoadStoreUnit::LoadStoreUnit(const MachineConfig &cfg,
         l1d_ = std::make_unique<AccountingCache>(
             "l1d", dc.l1_opt.size_bytes, dc.l1_opt.assoc);
         l1d_->setPartition(dc.l1_opt.assoc, false);
-    }
-    // The private L2 exists only in the private hierarchy; a core
-    // built for a chip reaches the shared banked L2 through the
-    // interconnect port instead (constructing a dead 2MB tag/MRU
-    // array per core would dominate chip construction).
-    if (icp_ == nullptr) {
-        if (cfg_.mode == ClockingMode::MCD) {
-            l2_ = std::make_unique<AccountingCache>("l2", 2048 * KB,
-                                                    8);
-            l2_->setPartition(dc.l2_adapt.assoc,
-                              cfg_.phase_adaptive);
-        } else {
-            l2_ = std::make_unique<AccountingCache>(
-                "l2", dc.l2_opt.size_bytes, dc.l2_opt.assoc);
-            l2_->setPartition(dc.l2_opt.assoc, false);
-        }
     }
 }
 
@@ -68,22 +51,19 @@ LoadStoreUnit::wire(CorePorts &ports, ReconfigUnit &reconfig)
 std::uint64_t
 LoadStoreUnit::l2TotalAccesses() const
 {
-    return icp_ != nullptr ? icp_->accesses(core_index_)
-                           : l2_->totalAccesses();
+    return icp_.accesses(core_index_);
 }
 
 std::uint64_t
 LoadStoreUnit::l2TotalMisses() const
 {
-    return icp_ != nullptr ? icp_->misses(core_index_)
-                           : l2_->totalMisses();
+    return icp_.misses(core_index_);
 }
 
 std::uint64_t
 LoadStoreUnit::l2TotalBHits() const
 {
-    return icp_ != nullptr ? icp_->bHits(core_index_)
-                           : l2_->totalBHits();
+    return icp_.bHits(core_index_);
 }
 
 // ---------------------------------------------------------------------
@@ -95,19 +75,14 @@ LoadStoreUnit::applyDCache(int target)
 {
     const DCachePairConfig &dc = dcachePairConfig(target);
     l1d_->setPartition(dc.l1_adapt.assoc, cfg_.phase_adaptive);
-    if (icp_ != nullptr)
-        icp_->reconfigure(core_index_, target);
-    else
-        l2_->setPartition(dc.l2_adapt.assoc, cfg_.phase_adaptive);
+    icp_.reconfigure(core_index_, target);
 }
 
 CacheDecision
 LoadStoreUnit::decideDCache() const
 {
-    const IntervalCounts &l2i = icp_ != nullptr
-                                    ? icp_->interval(core_index_)
-                                    : l2_->interval();
-    return chooseDCachePair(l1d_->interval(), l2i,
+    return chooseDCachePair(l1d_->interval(),
+                            icp_.interval(core_index_),
                             memoryLineFillPs());
 }
 
@@ -115,10 +90,7 @@ void
 LoadStoreUnit::resetDCacheIntervals()
 {
     l1d_->resetInterval();
-    if (icp_ != nullptr)
-        icp_->resetInterval(core_index_);
-    else
-        l2_->resetInterval();
+    icp_.resetInterval(core_index_);
 }
 
 void
@@ -141,32 +113,11 @@ LoadStoreUnit::voteDCache(const CacheDecision &dd, Tick now,
 // ---------------------------------------------------------------------
 
 Tick
-LoadStoreUnit::serveIcacheFill(Addr pc, Tick t_req,
-                               const DCachePairConfig &dc, Tick now)
+LoadStoreUnit::serveIcacheFill(Addr pc, Tick t_req, Tick now)
 {
     Tick ls_period = timing_.clock(DomainId::LoadStore).period();
-    if (icp_ != nullptr) {
-        return icp_
-            ->requestIcacheLine(core_index_, pc, t_req, ls_period,
-                                now)
-            .done;
-    }
-    AccessOutcome out = l2_->access(pc);
-    switch (out.where) {
-      case HitWhere::APartition:
-        return t_req + static_cast<Tick>(dc.l2_a_lat) * ls_period;
-      case HitWhere::BPartition:
-        return t_req +
-               static_cast<Tick>(dc.l2_a_lat + dc.l2_b_lat) *
-                   ls_period;
-      default: {
-        int probe = dc.l2_a_lat +
-                    (l2_->bEnabled() && dc.l2_b_lat > 0 ? dc.l2_b_lat
-                                                        : 0);
-        return memory_.issueFill(
-            t_req + static_cast<Tick>(probe) * ls_period);
-      }
-    }
+    return icp_.requestIcacheLine(core_index_, pc, t_req, ls_period, now)
+        .done;
 }
 
 Tick
@@ -187,35 +138,14 @@ LoadStoreUnit::dataHierarchyTime(Addr addr, Tick now)
     Tick probe = static_cast<Tick>(
         dc.l1_a_lat + (b_on && dc.l1_b_lat > 0 ? dc.l1_b_lat : 0));
 
-    if (icp_ != nullptr) {
-        // Shared hierarchy: the interconnect port arbitrates the
-        // banked L2 and the shared memory channel; the private MSHR
-        // is still claimed for the fill (the caller verified one is
-        // free), exactly as on the private path.
-        L2Reply r = icp_->requestLine(core_index_, addr,
-                                      now + probe * period, period,
-                                      now);
-        if (!r.hit)
-            claimMshr(now, r.done);
-        return r.done;
-    }
-
-    AccessOutcome l2 = l2_->access(addr);
-    if (l2.where == HitWhere::APartition) {
-        return now + (probe + static_cast<Tick>(dc.l2_a_lat)) * period;
-    }
-    if (l2.where == HitWhere::BPartition) {
-        return now + (probe + static_cast<Tick>(dc.l2_a_lat +
-                                                dc.l2_b_lat)) *
-                         period;
-    }
-    Tick l2_probe = static_cast<Tick>(
-        dc.l2_a_lat +
-        (l2_->bEnabled() && dc.l2_b_lat > 0 ? dc.l2_b_lat : 0));
-    Tick issue_at = now + (probe + l2_probe) * period;
-    Tick done = memory_.issueFill(issue_at);
-    claimMshr(now, done);
-    return done;
+    // The interconnect port arbitrates the banked L2 and the shared
+    // memory channel; an L2 miss also holds one of this core's MSHRs
+    // until the fill returns (the caller verified one is free).
+    L2Reply r = icp_.requestLine(core_index_, addr, now + probe * period,
+                                 period, now);
+    if (!r.hit)
+        claimMshr(now, r.done);
+    return r.done;
 }
 
 void
@@ -313,8 +243,7 @@ LoadStoreUnit::drainStoreBuffer(Tick now, int &ports_used,
         // A drained store to the coherent shared region publishes
         // invalidations to remote sharers through the interconnect
         // (no-op for private addresses and single-core chips).
-        if (icp_ != nullptr)
-            icp_->publishStore(core_index_, addr, now);
+        icp_.publishStore(core_index_, addr, now);
         sb_->pop(now);
         ++ports_used;
     }
@@ -332,11 +261,7 @@ LoadStoreUnit::step(Tick now)
     // publisher's remote wake load-bearing. Processing enables no
     // LSQ entry earlier (it only slows future accesses), so the walk
     // summary below stays valid.
-    int coh_ports = 0;
-    if (icp_ != nullptr) {
-        coh_ports =
-            icp_->consumeInvalidations(core_index_, now, *l1d_);
-    }
+    int coh_ports = icp_.consumeInvalidations(core_index_, now, *l1d_);
 
     bool arrived_any = false;
     disp_->consume(now, [&](size_t) {
@@ -529,9 +454,7 @@ LoadStoreUnit::wakeBound() const
     // An undelivered coherence invalidation bounds the sleep: without
     // this term a step between the publication and its delivery would
     // clobber the fabric wake when the scheduler refolds the bound.
-    if (icp_ != nullptr)
-        w = std::min(w, icp_->nextCoherenceAt(core_index_));
-    return w;
+    return std::min(w, icp_.nextCoherenceAt(core_index_));
 }
 
 } // namespace gals

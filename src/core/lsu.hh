@@ -1,7 +1,8 @@
 /**
  * @file
- * The load/store domain unit: LSQ, MSHRs, L1 data cache, unified L2
- * and the main-memory channel, plus the D-cache pair's controller.
+ * The load/store domain unit: LSQ, MSHRs and the L1 data cache, plus
+ * the D-cache pair's controller. The unified L2 and main memory sit
+ * behind the chip's interconnect port (core/ports.hh).
  *
  * The unit serves three traffic classes per edge — dispatch arrivals
  * from the front end, the store-ready and load-issue walks over the
@@ -18,7 +19,6 @@
 #include <memory>
 
 #include "cache/accounting_cache.hh"
-#include "cache/main_memory.hh"
 #include "control/cache_controller.hh"
 #include "core/domain.hh"
 #include "core/machine_config.hh"
@@ -36,21 +36,17 @@ class AgenPort;
 class ReconfigUnit;
 class InterconnectPort;
 
-/** Load/store unit: LSQ, data caches, memory, store-buffer drain. */
+/** Load/store unit: LSQ, L1D, MSHRs, store-buffer drain. */
 class LoadStoreUnit final : public Domain
 {
   public:
     /**
-     * A non-null `icp` routes this unit's L2-and-below traffic
-     * through the chip's shared banked L2 instead of the private
-     * hierarchy (which is then not built at all). The private L1D
-     * and its MSHRs stay local; the interconnect arbitrates only
-     * across cores, so a single-core chip times bit-identically to
-     * the private path.
+     * `icp` carries this unit's L2-and-below traffic to the chip's
+     * shared banked L2; the L1D and its MSHRs stay local to the core.
      */
     LoadStoreUnit(const MachineConfig &cfg,
                   const AdaptiveConfig &cur_cfg, CoreTiming &timing,
-                  Rob &rob, InterconnectPort *icp, int core_index);
+                  Rob &rob, InterconnectPort &icp, int core_index);
 
     /** Connect ports and the reconfiguration unit (once). */
     void wire(CorePorts &ports, ReconfigUnit &reconfig);
@@ -69,8 +65,7 @@ class LoadStoreUnit final : public Domain
      * the front end's step tick performing the request (the shared
      * interconnect's publication-order bookkeeping needs it).
      */
-    Tick serveIcacheFill(Addr pc, Tick t_req,
-                         const DCachePairConfig &dc, Tick now);
+    Tick serveIcacheFill(Addr pc, Tick t_req, Tick now);
 
     /** L1D line shift (rename derives LSQ line addresses with it). */
     int dcacheLineShift() const { return l1d_->lineShift(); }
@@ -95,12 +90,8 @@ class LoadStoreUnit final : public Domain
     const Lsq &lsq() const { return lsq_; }
     AccountingCache &l1d() { return *l1d_; }
     const AccountingCache &l1d() const { return *l1d_; }
-    /** Private-hierarchy L2 (null when the shared L2 is attached). */
-    AccountingCache &l2() { return *l2_; }
-    const AccountingCache &l2() const { return *l2_; }
 
-    /** L2 lifetime totals of *this core's* traffic: the private L2's
-     * counters, or this core's slice of the shared L2. */
+    /** L2 lifetime totals of *this core's* slice of the shared L2. */
     std::uint64_t l2TotalAccesses() const;
     std::uint64_t l2TotalMisses() const;
     std::uint64_t l2TotalBHits() const;
@@ -128,8 +119,6 @@ class LoadStoreUnit final : public Domain
 
     Lsq lsq_;
     std::unique_ptr<AccountingCache> l1d_;
-    std::unique_ptr<AccountingCache> l2_;
-    MainMemory memory_;
     ArenaVector<Tick> mshr_busy_;
     /** min(mshr_busy_): one compare decides "any MSHR free". */
     Tick mshr_min_free_ = 0;
@@ -167,8 +156,8 @@ class LoadStoreUnit final : public Domain
     WakePort *store_ready_ = nullptr;
     const AgenPort *agen_ = nullptr;
     ReconfigUnit *reconfig_ = nullptr;
-    /** Shared-L2 channel (null = private hierarchy). */
-    InterconnectPort *icp_ = nullptr;
+    /** Shared-L2 channel. */
+    InterconnectPort &icp_;
     int core_index_ = 0;
 };
 

@@ -124,7 +124,7 @@ InterconnectPort::request(int core, DomainId consumer_local, Addr addr,
         // Secondary access to another core's in-flight line: the tag
         // is already installed (accounting-cache semantics), but the
         // data cannot be forwarded before the fill arrives. Own-core
-        // same-line timing stays the private hierarchy's concern.
+        // same-line timing is left to the core's L1D and MSHRs.
         Tick fill_done = 0;
         for (const SharedL2::Fill &f : b.fills) {
             if (f.line == line && f.core != core)

@@ -52,8 +52,8 @@ constexpr int kMaxCores = 16;
 constexpr int kMaxSchedDomains = kMaxCores * kNumDomains;
 
 /** Per-core in-flight fill (MSHR) ceiling assumed by the fill-slot
- * arbitration's stack sizing — a bound on the private hierarchy's
- * MSHR count, not on the shared banks'. */
+ * arbitration's stack sizing — a bound on each core's L1D MSHR
+ * count, not on the shared banks'. */
 constexpr int kMaxCoreMshrs = 16;
 
 /**
@@ -63,8 +63,8 @@ constexpr int kMaxCoreMshrs = 16;
  * calendar keys the scheduler picks its next domain from. Only ports
  * write wake state — through a per-core WakeHub window whose raw
  * primitive forwards here — and the scheduler reads and re-keys it
- * between steps. A single-core Processor owns a fabric of four
- * domains, so the window is the identity mapping.
+ * between steps. A single-core chip has a fabric of four domains,
+ * so its one window is the identity mapping.
  */
 class WakeFabric
 {
@@ -159,7 +159,7 @@ class WakeFabric
  * One core's window into the wake fabric. Every port of a core holds
  * a WakeHub and addresses it with the core-local DomainId; the window
  * offsets into the fabric's global arrays, so the same port code
- * serves a standalone Processor (base 0) and any core of a Chip.
+ * serves every core of a Chip (core 0 at base 0).
  * The publication-order rule generalizes across cores because the
  * global index order (core-major, local order preserved) *is* the
  * reference kernel's tie-break order.
@@ -613,9 +613,8 @@ class ReclockPort
 struct MachineConfig;
 
 /**
- * The full port set of the four-domain core, constructed by the
- * composition root (Processor) and handed to the domain units at
- * wire-up.
+ * The full port set of the four-domain core, constructed by its
+ * Core (cmp/core.hh) and handed to the domain units at wire-up.
  */
 struct CorePorts
 {
@@ -672,9 +671,9 @@ struct L2Reply
  *
  * Arbitration is cross-core only: a requester is never delayed behind
  * its own traffic (its bandwidth is already modeled by its mem ports
- * and private MSHRs — charging it again here would double-count the
- * same structural hazard), so a single-core chip is bit-identical to
- * the private-hierarchy Processor by construction.
+ * and L1D MSHRs — charging it again here would double-count the same
+ * structural hazard), so on a single-core chip the bank knobs are
+ * inert.
  */
 class InterconnectPort
 {
@@ -687,8 +686,8 @@ class InterconnectPort
      * Request a data line for `core`'s load/store unit. `t_req` is
      * the time the request reaches the L2 (after the L1 probe),
      * `period` the requester's load/store clock period (L2 latencies
-     * are charged in requester cycles, as the private hierarchy
-     * does), `now` the requesting domain's step tick.
+     * are charged in requester cycles, the unit of the D-cache
+     * pair's latency rows), `now` the requesting domain's step tick.
      */
     L2Reply requestLine(int core, Addr addr, Tick t_req, Tick period,
                         Tick now);
@@ -726,7 +725,8 @@ class InterconnectPort
      * that core's load/store unit at `now + coh_delay_ps` — a real
      * cross-core wake, obeying the same publication-order rule as
      * every other port. No-op on non-coherent chips or private
-     * addresses, so N=1 and legacy workloads are bit-unchanged.
+     * addresses, so single-core chips and non-sharing workloads
+     * carry no coherence traffic.
      */
     void publishStore(int core, Addr addr, Tick now);
 

@@ -1,6 +1,8 @@
 #include "core/scheduler.hh"
 
 #include <array>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -22,6 +24,16 @@ totalProgress(const CoreProgress *cores, int ncores)
 }
 
 } // namespace
+
+Kernel
+kernelFromEnv()
+{
+    if (const char *env = std::getenv("GALS_KERNEL")) {
+        if (std::strcmp(env, "reference") == 0)
+            return Kernel::Reference;
+    }
+    return Kernel::EventDriven;
+}
 
 DomainScheduler::DomainScheduler(Domain *const *domains, Clock *clocks,
                                  int count, WakeFabric &fabric,
@@ -224,22 +236,6 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             last_progress = progress;
         }
     }
-}
-
-void
-DomainScheduler::runEvent(const std::uint64_t &progress,
-                          std::uint64_t target)
-{
-    CoreProgress one{&progress, target};
-    runEvent(&one, 1);
-}
-
-void
-DomainScheduler::runReference(const std::uint64_t &progress,
-                              std::uint64_t target)
-{
-    CoreProgress one{&progress, target};
-    runReference(&one, 1);
 }
 
 } // namespace gals

@@ -1,8 +1,7 @@
 /**
  * @file
- * The domain scheduler: the step loop of the GALS core, generic over
- * a set of clock-domain units (core/domain.hh) — four for a single
- * Processor, four per core for a Chip.
+ * The domain scheduler: the step loop of the GALS chip, generic over
+ * a set of clock-domain units (core/domain.hh) — four per core.
  *
  * Two kernels share one stepping order (time, then lowest *global*
  * domain index on ties — exactly the original simulator's tie-break,
@@ -41,6 +40,23 @@
 namespace gals
 {
 
+/** Which main-loop kernel a run uses. */
+enum class Kernel
+{
+    /** Event-driven: idle domains skip edges (the default). */
+    EventDriven,
+    /**
+     * Step every domain at every edge, as the original simulator
+     * did. Kept as the bit-identical oracle for the event kernel
+     * (see docs/kernel.md); also selectable with
+     * GALS_KERNEL=reference.
+     */
+    Reference,
+};
+
+/** Read GALS_KERNEL (reference|event); EventDriven otherwise. */
+Kernel kernelFromEnv();
+
 /** Stop condition of one core: run until *progress >= target. */
 struct CoreProgress
 {
@@ -73,11 +89,6 @@ class DomainScheduler
 
     /** Reference kernel: step every active domain at every edge. */
     void runReference(const CoreProgress *cores, int ncores);
-
-    // Single-core conveniences (Processor).
-    void runEvent(const std::uint64_t &progress, std::uint64_t target);
-    void runReference(const std::uint64_t &progress,
-                      std::uint64_t target);
 
   private:
     /** advance() + epoch-bump broadcast when a period change lands;

@@ -4,8 +4,8 @@
  * in-flight op record, reorder buffer, resizable issue queue,
  * load/store queue, store buffer, and function-unit pools.
  *
- * None of these know about clocks or domains; the Processor supplies
- * all times. Because a mispredicted branch halts fetch until it
+ * None of these know about clocks or domains; the domain units
+ * supply all times. Because a mispredicted branch halts fetch until it
  * resolves (no wrong-path execution), nothing here ever needs to be
  * squashed; entries leave only by completing/retiring.
  */
@@ -93,7 +93,7 @@ struct InFlightOp
 
     // ------------------------------------------------------------------
     // Scheduler memos (pure caches; never change observable behavior).
-    // Epoch-tagged against Processor::clockEpoch() because the values
+    // Epoch-tagged against CoreTiming::epoch() because the values
     // extrapolate clock grids, which move when a PLL re-lock lands.
     // ------------------------------------------------------------------
     /**
@@ -248,7 +248,7 @@ struct IqSlot
  *    exact future ready time; promoteDue moves matured ids to the
  *    candidate ring.
  *
- * The owner (Processor) performs source evaluation — it needs the
+ * The owner (IssueCluster) performs source evaluation — it needs the
  * scoreboard and the clock grids — and drives the transitions; this
  * class owns the data structures and their invariants. The O(queue)
  * rebuild path exists only for clock-epoch bumps (invalidateTimes),

@@ -7,7 +7,7 @@
  * original spawn-threads-per-call helper, the pool here is persistent:
  *  - worker threads are created once and reused, so each worker's
  *    thread-local arena (common/arena.hh) keeps serving recycled
- *    Processor buffers across the hundreds of runs of a sweep instead
+ *    simulator buffers across the hundreds of runs of a sweep instead
  *    of being torn down with the thread after every parallelFor;
  *  - indices are handed out in chunks, so a 1,024-point sweep costs
  *    ~dozens of atomic operations instead of one per design point.

@@ -1,5 +1,8 @@
 #include "sim/simulation.hh"
 
+#include <utility>
+
+#include "cmp/chip.hh"
 #include "obs/metrics.hh"
 
 namespace gals
@@ -8,8 +11,7 @@ namespace gals
 RunStats
 simulate(const MachineConfig &machine, const WorkloadParams &workload)
 {
-    Processor cpu(machine, workload);
-    RunStats stats = cpu.run();
+    RunStats stats = simulateWithKernel(machine, workload, kernelFromEnv());
     // Process-lifetime run telemetry (obs/metrics.hh): one counter
     // bump per completed run, far off the simulated hot path.
     obs::MetricsRegistry::instance().add("sim.runs", 1);
@@ -18,15 +20,17 @@ simulate(const MachineConfig &machine, const WorkloadParams &workload)
 
 RunStats
 simulateWithKernel(const MachineConfig &machine,
-                   const WorkloadParams &workload,
-                   Processor::Kernel kernel,
+                   const WorkloadParams &workload, Kernel kernel,
                    std::uint32_t invariant_interval)
 {
-    Processor cpu(machine, workload);
-    cpu.setKernel(kernel);
+    ChipConfig cc;
+    cc.machine = machine;
+    cc.cores = 1;
+    Chip chip(cc, {workload});
+    chip.setKernel(kernel);
     if (invariant_interval != 0)
-        cpu.setInvariantCheckInterval(invariant_interval);
-    return cpu.run();
+        chip.setInvariantCheckInterval(invariant_interval);
+    return std::move(chip.run().cores[0]);
 }
 
 double

@@ -1,15 +1,17 @@
 /**
  * @file
  * Single-run driver: execute one machine configuration against one
- * synthetic benchmark and return the measured-window statistics.
+ * synthetic benchmark and return the measured-window statistics. A
+ * single-core run is a one-core Chip (cmp/chip.hh) at the default
+ * shared-L2 knobs.
  */
 
 #ifndef GALS_SIM_SIMULATION_HH
 #define GALS_SIM_SIMULATION_HH
 
 #include "core/machine_config.hh"
-#include "core/processor.hh"
 #include "core/run_stats.hh"
+#include "core/scheduler.hh"
 #include "workload/params.hh"
 
 namespace gals
@@ -28,7 +30,7 @@ RunStats simulate(const MachineConfig &machine,
  */
 RunStats simulateWithKernel(const MachineConfig &machine,
                             const WorkloadParams &workload,
-                            Processor::Kernel kernel,
+                            Kernel kernel,
                             std::uint32_t invariant_interval = 0);
 
 /** Measured window runtime in nanoseconds. */

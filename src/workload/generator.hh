@@ -62,8 +62,7 @@ class SyntheticWorkload
      * open-loop: nothing it draws depends on simulation state, so
      * batching moves no RNG draw and changes no stream; the pinned
      * stream-hash goldens and the batch-equivalence test verify it).
-     * The batch form is what lets each chip worker pre-generate its
-     * own cores' ops inside its stepping rounds in one tight,
+     * The batch form lets fetch pre-generate its ops in one tight,
      * cache-hot loop instead of one call per fetch slot interleaved
      * with the whole simulator working set.
      */

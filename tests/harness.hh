@@ -289,9 +289,9 @@ expectKernelsAgree(const MachineConfig &m, const WorkloadParams &wl,
                    std::uint32_t invariant_interval = 0)
 {
     RunStats event = simulateWithKernel(
-        m, wl, Processor::Kernel::EventDriven, invariant_interval);
+        m, wl, Kernel::EventDriven, invariant_interval);
     RunStats oracle = simulateWithKernel(
-        m, wl, Processor::Kernel::Reference, invariant_interval);
+        m, wl, Kernel::Reference, invariant_interval);
     expectSameStats(event, oracle);
 }
 

@@ -2,7 +2,7 @@
  * @file
  * Tests for the thread-local recycling arena: block reuse across
  * allocations and container instances, pass-through of oversized
- * requests, and stability of repeated Processor construct/run/destroy
+ * requests, and stability of repeated simulate() construct/run/destroy
  * cycles (the design-space-sweep pattern the arena exists for).
  */
 
@@ -52,7 +52,7 @@ TEST(Arena, VectorsRecycleAcrossInstances)
 {
     // A destroyed ArenaVector's storage is adopted by the next
     // same-bucket vector — the mechanism that makes the second and
-    // later Processor constructions on a thread allocation-free.
+    // later Chip constructions on a thread allocation-free.
     const std::uint64_t *data0 = nullptr;
     {
         ArenaVector<std::uint64_t> v;
@@ -67,7 +67,7 @@ TEST(Arena, VectorsRecycleAcrossInstances)
 
 TEST(Arena, RepeatedSweepsRecycleAndStayIdentical)
 {
-    // The sweep pattern: many Processor lifetimes on one thread. From
+    // The sweep pattern: many simulate() lifetimes on one thread. From
     // the second run on, storage is recycled; results must be
     // bit-identical every time (recycled memory must never leak state
     // between runs).

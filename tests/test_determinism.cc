@@ -10,7 +10,7 @@
  *     event kernel existed) — any divergence from the original
  *     modeled behavior fails here, even if both kernels agree. All
  *     three paper machine types are pinned across four workloads.
- *  2. Event kernel vs. reference kernel on the same Processor
+ *  2. Event kernel vs. reference kernel on the same machine
  *     configuration, including jitter and phase-adaptive relocks
  *     (the hard cases for idle-edge skipping). The randomized
  *     differential sweep in test_differential.cc extends this layer.
@@ -114,8 +114,8 @@ TEST(Determinism, EventKernelMatchesReferenceKernel)
             SCOPED_TRACE(std::string(cfg) + "/" + b);
             MachineConfig m = goldenMachine(cfg);
             expectSameStats(
-                simulateWithKernel(m, wl, Processor::Kernel::EventDriven),
-                simulateWithKernel(m, wl, Processor::Kernel::Reference));
+                simulateWithKernel(m, wl, Kernel::EventDriven),
+                simulateWithKernel(m, wl, Kernel::Reference));
         }
     }
 }
@@ -128,8 +128,8 @@ TEST(Determinism, EventKernelMatchesReferenceWithJitter)
     MachineConfig m = MachineConfig::mcdProgram({});
     m.jitter_sigma_ps = 20.0;
     expectSameStats(
-        simulateWithKernel(m, wl, Processor::Kernel::EventDriven),
-        simulateWithKernel(m, wl, Processor::Kernel::Reference));
+        simulateWithKernel(m, wl, Kernel::EventDriven),
+        simulateWithKernel(m, wl, Kernel::Reference));
 }
 
 TEST(Determinism, RepeatRunsAreIdentical)
@@ -175,7 +175,7 @@ TEST(Determinism, EventKernelMatchesReferenceUnderFrequentRelocks)
         m.icache_hysteresis = 0.0;
         m.queue_hysteresis = 0.0;
         expectSameStats(
-            simulateWithKernel(m, wl, Processor::Kernel::EventDriven),
-            simulateWithKernel(m, wl, Processor::Kernel::Reference));
+            simulateWithKernel(m, wl, Kernel::EventDriven),
+            simulateWithKernel(m, wl, Kernel::Reference));
     }
 }

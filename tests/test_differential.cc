@@ -68,10 +68,8 @@ TEST(Differential, MidFillRelockRegression)
     m.icache_hysteresis = 0.0;
     m.queue_hysteresis = 0.0;
 
-    RunStats event = simulateWithKernel(
-        m, wl, Processor::Kernel::EventDriven, 64);
-    RunStats oracle = simulateWithKernel(
-        m, wl, Processor::Kernel::Reference, 64);
+    RunStats event = simulateWithKernel(m, wl, Kernel::EventDriven, 64);
+    RunStats oracle = simulateWithKernel(m, wl, Kernel::Reference, 64);
     harness::expectSameStats(event, oracle);
 
     // The scenario must actually exercise the fix: re-locks and
@@ -112,10 +110,8 @@ TEST(Differential, ReadyListEpochBumpRegression)
     m.int_alus = 1;
     m.fp_alus = 1;
 
-    RunStats event = simulateWithKernel(
-        m, wl, Processor::Kernel::EventDriven, 64);
-    RunStats oracle = simulateWithKernel(
-        m, wl, Processor::Kernel::Reference, 64);
+    RunStats event = simulateWithKernel(m, wl, Kernel::EventDriven, 64);
+    RunStats oracle = simulateWithKernel(m, wl, Kernel::Reference, 64);
     harness::expectSameStats(event, oracle);
     EXPECT_GT(event.relocks, 0u); // bumps actually happened.
 
@@ -169,8 +165,10 @@ TEST(Differential, InvariantCheckerAcceptsLongRun)
     WorkloadParams wl = findBenchmark("apsi");
     wl.sim_instrs = 20'000;
     wl.warmup_instrs = 2'000;
-    Processor cpu(MachineConfig::mcdPhaseAdaptive(), wl);
-    cpu.setInvariantCheckInterval(8);
-    RunStats s = cpu.run();
+    ChipConfig cc;
+    cc.machine = MachineConfig::mcdPhaseAdaptive();
+    Chip chip(cc, {wl});
+    chip.setInvariantCheckInterval(8);
+    RunStats s = chip.run().cores[0];
     EXPECT_EQ(s.committed, 20'000u);
 }

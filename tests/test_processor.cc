@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/processor.hh"
+#include "cmp/chip.hh"
 #include "sim/simulation.hh"
 #include "workload/suite.hh"
 
@@ -207,9 +207,11 @@ TEST(Processor, PhaseAdaptiveRunsControllersAndConverges)
     w.phases[0].rand_bytes = 200 * 1024;
     w.phases[0].rand_frac = 0.8;
     w.phases[0].load_frac = 0.3;
-    Processor cpu(MachineConfig::mcdPhaseAdaptive(), w);
-    RunStats s = cpu.run();
-    EXPECT_GT(cpu.currentConfig().dcache, 0);
+    ChipConfig cc;
+    cc.machine = MachineConfig::mcdPhaseAdaptive();
+    Chip chip(cc, {w});
+    RunStats s = chip.run().cores[0];
+    EXPECT_GT(chip.core(0).currentConfig().dcache, 0);
     // It settles: few reconfigurations relative to intervals.
     EXPECT_LT(s.trace.countFor(Structure::DCachePair), 8u);
     // Residency concentrates off the minimal configuration.
