@@ -11,8 +11,6 @@
 
 #include "bench_util.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "sim/simulation.hh"
@@ -33,9 +31,7 @@ printSweep()
                 "32KB/256KB 1W caches, 16-entry queues)");
 
     std::vector<WorkloadParams> suite = benchmarkSuite();
-    size_t limit = 12;
-    if (const char *env = std::getenv("GALS_BENCHMARKS"))
-        limit = static_cast<size_t>(std::atoi(env));
+    size_t limit = benchmarkCountFromEnv(12);
     if (limit > 0 && limit < suite.size()) {
         // Default: an evenly spaced subset keeps the bench quick
         // while covering all three suites.

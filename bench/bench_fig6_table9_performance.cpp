@@ -17,8 +17,6 @@
 
 #include "bench_util.hh"
 
-#include <cstdlib>
-
 #include "sim/report.hh"
 #include "sim/study.hh"
 #include "workload/suite.hh"
@@ -33,11 +31,9 @@ study()
 {
     static const StudyResult result = [] {
         std::vector<WorkloadParams> suite = benchmarkSuite();
-        if (const char *env = std::getenv("GALS_BENCHMARKS")) {
-            size_t n = static_cast<size_t>(std::atoi(env));
-            if (n > 0 && n < suite.size())
-                suite.resize(n);
-        }
+        size_t n = benchmarkCountFromEnv(0); // 0: the whole suite.
+        if (n > 0 && n < suite.size())
+            suite.resize(n);
         SweepMode mode = sweepModeFromEnv();
         std::printf("running %zu benchmarks, %s program-adaptive "
                     "sweep...\n",

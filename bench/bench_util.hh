@@ -10,11 +10,36 @@
 
 #include <benchmark/benchmark.h>
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
+#include <optional>
+
+#include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace gals
 {
+
+/** GALS_BENCHMARKS as a benchmark count, `fallback` when unset. Input
+ * that is not a non-negative integer ("8x", "abc") warns and falls
+ * back, the threadCountFromEnv contract. */
+inline std::size_t
+benchmarkCountFromEnv(std::size_t fallback)
+{
+    const char *env = std::getenv("GALS_BENCHMARKS");
+    if (env == nullptr)
+        return fallback;
+    std::optional<long long> v = parseInteger(env, 0, LLONG_MAX);
+    if (!v) {
+        warn("GALS_BENCHMARKS=\"%s\" is not a non-negative integer; "
+             "using the default",
+             env);
+        return fallback;
+    }
+    return static_cast<std::size_t>(*v);
+}
 
 /** Process CPU seconds (sums across threads; immune to co-runner
  * contention, which makes it the stable column on shared hosts). */

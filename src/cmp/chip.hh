@@ -60,6 +60,16 @@ struct ChipConfig
     Tick coh_delay_ps = 24'000;
 };
 
+/** Every ChipConfig field (common/types.hh). */
+template <FieldsOf<ChipConfig> C, class F>
+void
+forEachField(C &c, F &&f)
+{
+    auto &[machine, cores, banks, bmshr, occ, coh] = c;
+    f("machine", machine); f("cores", cores); f("banks", banks);
+    f("bmshr", bmshr); f("occ", occ); f("coh", coh);
+}
+
 /** Results of one chip run: per-core windows + chip-level totals. */
 struct ChipRunStats
 {
@@ -91,6 +101,22 @@ struct ChipRunStats
                    : 0.0;
     }
 };
+
+/** Every ChipRunStats field, in payload order (common/types.hh). */
+template <FieldsOf<ChipRunStats> S, class F>
+void
+forEachField(S &s, F &&f)
+{
+    auto &[cores, total_committed, makespan_ps, l2_accesses, l2_misses,
+           bank_conflicts, bank_mshr_waits, fill_merges, invalidations,
+           ownership_transfers] = s;
+    f("cores", cores); f("total_committed", total_committed);
+    f("makespan_ps", makespan_ps); f("l2_accesses", l2_accesses);
+    f("l2_misses", l2_misses); f("bank_conflicts", bank_conflicts);
+    f("bank_mshr_waits", bank_mshr_waits); f("fill_merges", fill_merges);
+    f("invalidations", invalidations);
+    f("ownership_transfers", ownership_transfers);
+}
 
 /** One configured chip executing one workload per core. */
 class Chip

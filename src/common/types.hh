@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace gals
 {
@@ -65,6 +66,18 @@ constexpr int kNumDomains = 4;
 
 /** Printable domain name. */
 const char *domainName(DomainId id);
+
+/**
+ * Field lists. Each config and stats struct declares, next to its
+ * definition, `forEachField(s, f)`: f(name, member) once per field, in
+ * result-store key and payload order, `name` being the key name. The
+ * result-store key text, its payloads and the test harness's equality
+ * all derive from these visitors. Each visitor opens with a structured
+ * binding over the whole struct, so an unlisted member fails to compile.
+ * FieldsOf<T> admits T and const T, so one visitor serves both.
+ */
+template <class S, class T>
+concept FieldsOf = std::is_same_v<std::remove_const_t<S>, T>;
 
 } // namespace gals
 

@@ -34,6 +34,8 @@ struct ReconfigEvent
     Structure structure;
     int from_index;
     int to_index;
+
+    bool operator==(const ReconfigEvent &) const = default;
 };
 
 /** Append-only log of reconfiguration events. */
@@ -55,6 +57,8 @@ class ReconfigTrace
     std::uint64_t countFor(Structure s) const;
 
     void clear() { events_.clear(); }
+
+    bool operator==(const ReconfigTrace &) const = default;
 
   private:
     std::vector<ReconfigEvent> events_;

@@ -174,6 +174,26 @@ struct MachineConfig
     static MachineConfig mcdPhaseAdaptive();
 };
 
+/** Every MachineConfig field, nested structs inlined (common/types.hh). */
+template <FieldsOf<MachineConfig> M, class F>
+void
+forEachField(M &m, F &&f)
+{
+    auto &[mode, phase, adaptive, sync_ic, fq, fw, dw, iw, rw, rob, pint,
+           pfp, lsq, sb, ialu, falu, mp, mshr, dfifo, jit, seed, ff, ival,
+           pll, qhys, chys, ihys, qper, cper] = m;
+    auto &[ic, dc, qi, qf] = adaptive;
+    auto &[pll_m, pll_s, pll_lo, pll_hi] = pll;
+    f("mode", mode); f("phase", phase); f("ic", ic); f("dc", dc); f("qi", qi);
+    f("qf", qf); f("sync_ic", sync_ic); f("fq", fq); f("fw", fw); f("dw", dw);
+    f("iw", iw); f("rw", rw); f("rob", rob); f("pint", pint); f("pfp", pfp);
+    f("lsq", lsq); f("sb", sb); f("ialu", ialu); f("falu", falu); f("mp", mp);
+    f("mshr", mshr); f("dfifo", dfifo); f("jit", jit); f("seed", seed);
+    f("ff", ff); f("ival", ival); f("pll_m", pll_m); f("pll_s", pll_s);
+    f("pll_lo", pll_lo); f("pll_hi", pll_hi); f("qhys", qhys); f("chys", chys);
+    f("ihys", ihys); f("qper", qper); f("cper", cper);
+}
+
 } // namespace gals
 
 #endif // GALS_CORE_MACHINE_CONFIG_HH

@@ -65,6 +65,30 @@ struct RunStats
     ReconfigTrace trace;
 };
 
+/** Every RunStats field, in payload order (common/types.hh). */
+template <FieldsOf<RunStats> S, class F>
+void
+forEachField(S &s, F &&f)
+{
+    auto &[benchmark, config, committed, time_ps, l1i_accesses,
+           l1i_misses, l1d_accesses, l1d_misses, l2_accesses, l2_misses,
+           l1i_b_hits, l1d_b_hits, l2_b_hits, branches, mispredicts,
+           flushes, relocks, icache_residency, dcache_residency,
+           iq_int_residency, iq_fp_residency, trace] = s;
+    f("benchmark", benchmark); f("config", config); f("committed", committed);
+    f("time_ps", time_ps); f("l1i_accesses", l1i_accesses);
+    f("l1i_misses", l1i_misses); f("l1d_accesses", l1d_accesses);
+    f("l1d_misses", l1d_misses); f("l2_accesses", l2_accesses);
+    f("l2_misses", l2_misses); f("l1i_b_hits", l1i_b_hits);
+    f("l1d_b_hits", l1d_b_hits); f("l2_b_hits", l2_b_hits);
+    f("branches", branches); f("mispredicts", mispredicts);
+    f("flushes", flushes); f("relocks", relocks);
+    f("icache_residency", icache_residency);
+    f("dcache_residency", dcache_residency);
+    f("iq_int_residency", iq_int_residency);
+    f("iq_fp_residency", iq_fp_residency); f("trace", trace);
+}
+
 } // namespace gals
 
 #endif // GALS_CORE_RUN_STATS_HH

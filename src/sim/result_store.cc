@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <ranges>
 #include <sstream>
+#include <type_traits>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -50,24 +52,18 @@ constexpr std::uint32_t kMagic = 0x31535247; // "GRS1" little-endian.
 // ----------------------------------------------------------------------
 // Byte stream helpers (explicit little-endian, bounds-checked reads).
 // ----------------------------------------------------------------------
+template <class U>
 void
-putU32(std::string &out, std::uint32_t v)
+put(std::string &out, U v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
+    for (std::size_t i = 0; i < sizeof(U); ++i)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
 void
 putString(std::string &out, const std::string &s)
 {
-    putU32(out, static_cast<std::uint32_t>(s.size()));
+    put(out, static_cast<std::uint32_t>(s.size()));
     out += s;
 }
 
@@ -78,33 +74,17 @@ struct ByteReader
     const std::string &buf;
     std::size_t off = 0;
 
+    template <class U>
     bool
-    getU32(std::uint32_t &v)
+    get(U &v)
     {
-        if (off + 4 > buf.size())
+        if (off + sizeof(U) > buf.size())
             return false;
         v = 0;
-        for (int i = 0; i < 4; ++i) {
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(buf[off + static_cast<std::size_t>(i)]))
+        for (std::size_t i = 0; i < sizeof(U); ++i)
+            v |= static_cast<U>(static_cast<unsigned char>(buf[off + i]))
                  << (8 * i);
-        }
-        off += 4;
-        return true;
-    }
-
-    bool
-    getU64(std::uint64_t &v)
-    {
-        if (off + 8 > buf.size())
-            return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(buf[off + static_cast<std::size_t>(i)]))
-                 << (8 * i);
-        }
-        off += 8;
+        off += sizeof(U);
         return true;
     }
 
@@ -112,7 +92,7 @@ struct ByteReader
     getString(std::string &s)
     {
         std::uint32_t n = 0;
-        if (!getU32(n) || off + n > buf.size())
+        if (!get(n) || off + n > buf.size())
             return false;
         s.assign(buf, off, n);
         off += n;
@@ -124,15 +104,20 @@ struct ByteReader
 
 // ----------------------------------------------------------------------
 // Key text rendering. Stable, exact and unambiguous: integers in
-// decimal, doubles in %a hexfloat, strings length-prefixed. The text
-// is stored verbatim in each record, so it doubles as the collision
-// check and as a human-readable record of what the row is.
+// decimal, doubles in %a hexfloat, strings length-prefixed, nested
+// structs as name{...}. The text is stored verbatim in each record,
+// so it doubles as the collision check and as a human-readable record
+// of what the row is. The fields and their names come from the
+// structs' forEachField visitors (common/types.hh).
 //
 // Rendered with snprintf into stack buffers appended in place: a key
 // is ~30 fields per machine plus ~30 per workload phase, and the
 // csprintf-temporary-per-field version dominated the warm-hit path
 // of cached sweeps (the key is rebuilt on every probe, hit or miss).
 // ----------------------------------------------------------------------
+template <class T> constexpr bool kIsVector = false;
+template <class T> constexpr bool kIsVector<std::vector<T>> = true;
+
 void
 keyValue(std::string &out, const char *name, const char *fmt, ...)
 {
@@ -149,119 +134,154 @@ keyValue(std::string &out, const char *name, const char *fmt, ...)
     out += ';';
 }
 
-void
-keyInt(std::string &out, const char *name, long long v)
+/** Appends one visited field to the key text. */
+struct KeyWriter
 {
-    keyValue(out, name, "%lld", v);
-}
+    std::string &out;
 
-void
-keyU64(std::string &out, const char *name, std::uint64_t v)
-{
-    keyValue(out, name, "%llu", static_cast<unsigned long long>(v));
-}
-
-void
-keyDouble(std::string &out, const char *name, double v)
-{
-    keyValue(out, name, "%a", v);
-}
-
-void
-keyString(std::string &out, const char *name, const std::string &v)
-{
-    char buf[24];
-    int n = std::snprintf(buf, sizeof(buf), "=%zu:", v.size());
-    out += name;
-    out.append(buf, static_cast<std::size_t>(n));
-    out += v;
-    out += ';';
-}
-
-void
-appendMachineKey(std::string &out, const MachineConfig &m)
-{
-    out += "machine{";
-    keyInt(out, "mode", static_cast<int>(m.mode));
-    keyInt(out, "phase", m.phase_adaptive ? 1 : 0);
-    keyInt(out, "ic", m.adaptive.icache);
-    keyInt(out, "dc", m.adaptive.dcache);
-    keyInt(out, "qi", m.adaptive.iq_int);
-    keyInt(out, "qf", m.adaptive.iq_fp);
-    keyInt(out, "sync_ic", m.sync_icache_opt);
-    keyInt(out, "fq", m.fetch_queue_entries);
-    keyInt(out, "fw", m.fetch_width);
-    keyInt(out, "dw", m.decode_width);
-    keyInt(out, "iw", m.issue_width);
-    keyInt(out, "rw", m.retire_width);
-    keyInt(out, "rob", m.rob_entries);
-    keyInt(out, "pint", m.phys_int_regs);
-    keyInt(out, "pfp", m.phys_fp_regs);
-    keyInt(out, "lsq", m.lsq_entries);
-    keyInt(out, "sb", m.store_buffer_entries);
-    keyInt(out, "ialu", m.int_alus);
-    keyInt(out, "falu", m.fp_alus);
-    keyInt(out, "mp", m.mem_ports);
-    keyInt(out, "mshr", m.mshrs);
-    keyInt(out, "dfifo", m.dispatch_fifo_entries);
-    keyDouble(out, "jit", m.jitter_sigma_ps);
-    keyU64(out, "seed", m.seed);
-    keyDouble(out, "ff", m.force_freq_ghz);
-    keyU64(out, "ival", m.cache_interval_instrs);
-    keyDouble(out, "pll_m", m.pll.mean_us);
-    keyDouble(out, "pll_s", m.pll.sigma_us);
-    keyDouble(out, "pll_lo", m.pll.min_us);
-    keyDouble(out, "pll_hi", m.pll.max_us);
-    keyDouble(out, "qhys", m.queue_hysteresis);
-    keyDouble(out, "chys", m.cache_hysteresis);
-    keyDouble(out, "ihys", m.icache_hysteresis);
-    keyInt(out, "qper", m.queue_persistence);
-    keyInt(out, "cper", m.cache_persistence);
-    out += '}';
-}
-
-void
-appendWorkloadKey(std::string &out, const WorkloadParams &wl)
-{
-    out += "workload{";
-    keyString(out, "name", wl.name);
-    keyString(out, "suite", wl.suite);
-    keyU64(out, "sim", wl.sim_instrs);
-    keyU64(out, "warm", wl.warmup_instrs);
-    keyU64(out, "seed", wl.seed);
-    keyU64(out, "shared", wl.shared_bytes);
-    keyU64(out, "off", wl.addr_offset);
-    for (const PhaseParams &p : wl.phases) {
-        out += "phase{";
-        keyU64(out, "len", p.length_instrs);
-        keyInt(out, "blk", p.block_len);
-        keyU64(out, "hot", p.code_hot_bytes);
-        keyU64(out, "tot", p.code_total_bytes);
-        keyDouble(out, "exf", p.excursion_frac);
-        keyInt(out, "exl", p.excursion_len);
-        keyInt(out, "llm", p.loop_lines_max);
-        keyInt(out, "lim", p.loop_iters_max);
-        keyInt(out, "nch", p.num_chains);
-        keyInt(out, "seg", p.chain_segment_len);
-        keyDouble(out, "xch", p.cross_chain_frac);
-        keyDouble(out, "ld", p.load_frac);
-        keyDouble(out, "st", p.store_frac);
-        keyDouble(out, "ldc", p.load_chain_frac);
-        keyDouble(out, "brd", p.branch_dep_frac);
-        keyDouble(out, "fp", p.fp_frac);
-        keyDouble(out, "mul", p.mul_frac);
-        keyDouble(out, "div", p.div_frac);
-        keyU64(out, "strb", p.stream_bytes);
-        keyU64(out, "strs", p.stream_stride_bytes);
-        keyU64(out, "rndb", p.rand_bytes);
-        keyDouble(out, "rnd", p.rand_frac);
-        keyDouble(out, "shf", p.shared_frac);
-        keyDouble(out, "lsf", p.loop_site_frac);
-        keyInt(out, "bpl", p.branch_pattern_len);
-        keyDouble(out, "bn", p.branch_noise);
-        out += '}';
+    template <class T>
+    void
+    operator()(const char *name, const T &v) const
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            keyValue(out, name, "%zu:", v.size());
+            out.insert(out.size() - 1, v); // name=<len>:<text>;
+        } else if constexpr (std::is_same_v<T, double>) {
+            keyValue(out, name, "%a", v);
+        } else if constexpr (std::is_signed_v<T> || std::is_enum_v<T>) {
+            keyValue(out, name, "%lld", static_cast<long long>(v));
+        } else if constexpr (std::is_unsigned_v<T>) { // incl. bool.
+            keyValue(out, name, "%llu",
+                     static_cast<unsigned long long>(v));
+        } else if constexpr (kIsVector<T>) {
+            for (const auto &e : v)
+                (*this)(name, e);
+        } else {
+            out += name;
+            out += '{';
+            forEachField(v, *this);
+            out += '}';
+        }
     }
-    out += '}';
+};
+
+// ----------------------------------------------------------------------
+// Payloads: the visited fields in order as little-endian u64s,
+// length-prefixed strings, u32-counted vectors and uncounted arrays;
+// a nested struct is a length-prefixed payload of its own.
+// ----------------------------------------------------------------------
+struct PayloadWriter
+{
+    std::string &out;
+
+    template <class S>
+    static std::string
+    of(const S &s)
+    {
+        std::string bytes;
+        forEachField(s, PayloadWriter{bytes});
+        return bytes;
+    }
+
+    template <class T>
+    void
+    operator()(const char *name, const T &v) const
+    {
+        if constexpr (std::is_same_v<T, std::string>) {
+            putString(out, v);
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            put(out, v);
+        } else if constexpr (std::is_same_v<T, ReconfigTrace>) {
+            put(out, static_cast<std::uint32_t>(v.events().size()));
+            for (const ReconfigEvent &e : v.events()) {
+                put(out, e.committed_instrs);
+                put(out, static_cast<std::uint32_t>(e.structure));
+                put(out, static_cast<std::uint32_t>(e.from_index));
+                put(out, static_cast<std::uint32_t>(e.to_index));
+            }
+        } else if constexpr (std::ranges::range<T>) {
+            if constexpr (kIsVector<T>)
+                put(out, static_cast<std::uint32_t>(v.size()));
+            for (const auto &e : v)
+                (*this)(name, e);
+        } else {
+            putString(out, of(v));
+        }
+    }
+};
+
+/** Reads back what PayloadWriter wrote; `ok` drops to false (and
+ * stays there) at the first exhausted or malformed field. */
+struct PayloadReader
+{
+    ByteReader &r;
+    bool ok = true;
+
+    /** `bytes` as exactly one S. */
+    template <class S>
+    static bool
+    parse(const std::string &bytes, S &out)
+    {
+        out = S{};
+        ByteReader r{bytes};
+        PayloadReader read{r};
+        forEachField(out, read);
+        return read.ok && r.done();
+    }
+
+    template <class T>
+    void
+    operator()(const char *name, T &v)
+    {
+        if (!ok)
+            return;
+        if constexpr (std::is_same_v<T, std::string>) {
+            ok = r.getString(v);
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+            ok = r.get(v);
+        } else if constexpr (std::is_same_v<T, ReconfigTrace>) {
+            std::uint32_t n = 0;
+            ok = r.get(n);
+            for (std::uint32_t i = 0; ok && i < n; ++i) {
+                std::uint64_t at = 0;
+                std::uint32_t s = 0, from = 0, to = 0;
+                ok = r.get(at) && r.get(s) && r.get(from) && r.get(to) &&
+                     s <= 3;
+                if (ok)
+                    v.record(at, static_cast<Structure>(s),
+                             static_cast<int>(from), static_cast<int>(to));
+            }
+        } else if constexpr (std::ranges::range<T>) {
+            // Every element takes at least one byte, so a count past
+            // the remaining bytes is malformed (and never allocated).
+            if constexpr (kIsVector<T>) {
+                std::uint32_t n = 0;
+                ok = r.get(n) && n <= r.buf.size() - r.off;
+                v.resize(ok ? n : 0);
+            }
+            for (auto &e : v)
+                (*this)(name, e);
+        } else {
+            std::string inner;
+            ok = r.getString(inner) && parse(inner, v);
+        }
+    }
+};
+
+/** `run()`'s stats, served from the enabled global store under `key`
+ * when a valid record exists, else computed and recorded. */
+template <class Stats, class Run>
+Stats
+cachedRun(const std::string &key, Run run)
+{
+    ResultStore &rs = resultStore();
+    std::string payload;
+    Stats out;
+    if (rs.lookup(key, payload) && PayloadReader::parse(payload, out))
+        return out;
+    out = run();
+    rs.store(key, PayloadWriter::of(out));
+    return out;
 }
 
 /** Unique-enough temp suffix: pid + a process-wide counter, so
@@ -285,8 +305,9 @@ resultKey(const MachineConfig &machine, const WorkloadParams &workload)
 {
     std::string key = "grs-key-v1:single;";
     key.reserve(1536);
-    appendMachineKey(key, machine);
-    appendWorkloadKey(key, workload);
+    KeyWriter write{key};
+    write("machine", machine);
+    write("workload", workload);
     return key;
 }
 
@@ -296,16 +317,18 @@ resultKey(const ChipConfig &chip,
 {
     std::string key = "grs-key-v1:chip;";
     key.reserve(768 + 1024 * workloads.size());
-    appendMachineKey(key, chip.machine);
+    KeyWriter write{key};
+    // The machine block leads; the chip block holds the rest.
+    write("machine", chip.machine);
     key += "chip{";
-    keyInt(key, "cores", chip.cores);
-    keyInt(key, "banks", chip.l2_banks);
-    keyInt(key, "bmshr", chip.l2_bank_mshrs);
-    keyU64(key, "occ", chip.l2_bank_occupancy_ps);
-    keyU64(key, "coh", chip.coh_delay_ps);
+    forEachField(chip, [&](const char *name, const auto &v) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(v)>,
+                                      MachineConfig>)
+            write(name, v);
+    });
     key += '}';
     for (const WorkloadParams &wl : workloads)
-        appendWorkloadKey(key, wl);
+        write("workload", wl);
     return key;
 }
 
@@ -315,134 +338,25 @@ resultKey(const ChipConfig &chip,
 std::string
 serializeRunStats(const RunStats &stats)
 {
-    std::string out;
-    putString(out, stats.benchmark);
-    putString(out, stats.config);
-    putU64(out, stats.committed);
-    putU64(out, stats.time_ps);
-    putU64(out, stats.l1i_accesses);
-    putU64(out, stats.l1i_misses);
-    putU64(out, stats.l1d_accesses);
-    putU64(out, stats.l1d_misses);
-    putU64(out, stats.l2_accesses);
-    putU64(out, stats.l2_misses);
-    putU64(out, stats.l1i_b_hits);
-    putU64(out, stats.l1d_b_hits);
-    putU64(out, stats.l2_b_hits);
-    putU64(out, stats.branches);
-    putU64(out, stats.mispredicts);
-    putU64(out, stats.flushes);
-    putU64(out, stats.relocks);
-    for (const auto *res :
-         {&stats.icache_residency, &stats.dcache_residency,
-          &stats.iq_int_residency, &stats.iq_fp_residency}) {
-        for (std::uint64_t v : *res)
-            putU64(out, v);
-    }
-    const std::vector<ReconfigEvent> &events = stats.trace.events();
-    putU32(out, static_cast<std::uint32_t>(events.size()));
-    for (const ReconfigEvent &e : events) {
-        putU64(out, e.committed_instrs);
-        putU32(out, static_cast<std::uint32_t>(e.structure));
-        putU32(out, static_cast<std::uint32_t>(e.from_index));
-        putU32(out, static_cast<std::uint32_t>(e.to_index));
-    }
-    return out;
+    return PayloadWriter::of(stats);
 }
-
-namespace
-{
-
-bool
-readRunStats(ByteReader &r, RunStats &out)
-{
-    out = RunStats{};
-    if (!r.getString(out.benchmark) || !r.getString(out.config) ||
-        !r.getU64(out.committed) || !r.getU64(out.time_ps) ||
-        !r.getU64(out.l1i_accesses) || !r.getU64(out.l1i_misses) ||
-        !r.getU64(out.l1d_accesses) || !r.getU64(out.l1d_misses) ||
-        !r.getU64(out.l2_accesses) || !r.getU64(out.l2_misses) ||
-        !r.getU64(out.l1i_b_hits) || !r.getU64(out.l1d_b_hits) ||
-        !r.getU64(out.l2_b_hits) || !r.getU64(out.branches) ||
-        !r.getU64(out.mispredicts) || !r.getU64(out.flushes) ||
-        !r.getU64(out.relocks)) {
-        return false;
-    }
-    for (auto *res :
-         {&out.icache_residency, &out.dcache_residency,
-          &out.iq_int_residency, &out.iq_fp_residency}) {
-        for (std::uint64_t &v : *res) {
-            if (!r.getU64(v))
-                return false;
-        }
-    }
-    std::uint32_t n = 0;
-    if (!r.getU32(n))
-        return false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        std::uint64_t committed = 0;
-        std::uint32_t structure = 0, from = 0, to = 0;
-        if (!r.getU64(committed) || !r.getU32(structure) ||
-            !r.getU32(from) || !r.getU32(to) || structure > 3) {
-            return false;
-        }
-        out.trace.record(committed, static_cast<Structure>(structure),
-                         static_cast<int>(from),
-                         static_cast<int>(to));
-    }
-    return true;
-}
-
-} // namespace
 
 bool
 deserializeRunStats(const std::string &bytes, RunStats &out)
 {
-    ByteReader r{bytes};
-    return readRunStats(r, out) && r.done();
+    return PayloadReader::parse(bytes, out);
 }
 
 std::string
 serializeChipRunStats(const ChipRunStats &stats)
 {
-    std::string out;
-    putU32(out, static_cast<std::uint32_t>(stats.cores.size()));
-    for (const RunStats &s : stats.cores)
-        putString(out, serializeRunStats(s));
-    putU64(out, stats.total_committed);
-    putU64(out, stats.makespan_ps);
-    putU64(out, stats.l2_accesses);
-    putU64(out, stats.l2_misses);
-    putU64(out, stats.bank_conflicts);
-    putU64(out, stats.bank_mshr_waits);
-    putU64(out, stats.fill_merges);
-    putU64(out, stats.invalidations);
-    putU64(out, stats.ownership_transfers);
-    return out;
+    return PayloadWriter::of(stats);
 }
 
 bool
 deserializeChipRunStats(const std::string &bytes, ChipRunStats &out)
 {
-    out = ChipRunStats{};
-    ByteReader r{bytes};
-    std::uint32_t cores = 0;
-    if (!r.getU32(cores))
-        return false;
-    out.cores.resize(cores);
-    for (std::uint32_t c = 0; c < cores; ++c) {
-        std::string inner;
-        if (!r.getString(inner) ||
-            !deserializeRunStats(inner, out.cores[c])) {
-            return false;
-        }
-    }
-    return r.getU64(out.total_committed) &&
-           r.getU64(out.makespan_ps) && r.getU64(out.l2_accesses) &&
-           r.getU64(out.l2_misses) && r.getU64(out.bank_conflicts) &&
-           r.getU64(out.bank_mshr_waits) &&
-           r.getU64(out.fill_merges) && r.getU64(out.invalidations) &&
-           r.getU64(out.ownership_transfers) && r.done();
+    return PayloadReader::parse(bytes, out);
 }
 
 // ----------------------------------------------------------------------
@@ -514,27 +428,23 @@ ResultStore::lookup(const std::string &key, std::string &payload) const
     // idiom (rdbuf into an ostringstream, then str()) copied every
     // record twice through chunked virtual calls, which dominated
     // the warm-sweep hit path.
+    auto miss = [&] {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+    };
     std::string bytes;
     {
         std::ifstream in(recordPath(key),
                          std::ios::binary | std::ios::ate);
-        if (!in) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
-        std::streamoff size = in.tellg();
-        if (size < 0) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
+        std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+        if (size < 0)
+            return miss();
         bytes.resize(static_cast<std::size_t>(size));
         in.seekg(0);
         in.read(bytes.data(),
                 static_cast<std::streamsize>(bytes.size()));
-        if (!in) {
-            misses_.fetch_add(1, std::memory_order_relaxed);
-            return false;
-        }
+        if (!in)
+            return miss();
     }
 
     // Validate everything; any failure is a reject (recompute, never
@@ -542,8 +452,7 @@ ResultStore::lookup(const std::string &key, std::string &payload) const
     // truncated or bit-flipped record cannot pass.
     auto reject = [&] {
         rejects_.fetch_add(1, std::memory_order_relaxed);
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return false;
+        return miss();
     };
     if (bytes.size() < 8)
         return reject();
@@ -551,7 +460,7 @@ ResultStore::lookup(const std::string &key, std::string &payload) const
     {
         ByteReader tail{bytes};
         tail.off = bytes.size() - 8;
-        tail.getU64(want);
+        tail.get(want);
     }
     if (fnv1a(bytes.data(), bytes.size() - 8, kFnvBasisA) != want)
         return reject();
@@ -559,7 +468,7 @@ ResultStore::lookup(const std::string &key, std::string &payload) const
     ByteReader r{bytes};
     std::uint32_t magic = 0;
     std::string tag, stored_key;
-    if (!r.getU32(magic) || magic != kMagic || !r.getString(tag) ||
+    if (!r.get(magic) || magic != kMagic || !r.getString(tag) ||
         !r.getString(stored_key) || !r.getString(payload) ||
         r.off + 8 != bytes.size()) {
         return reject();
@@ -579,11 +488,11 @@ ResultStore::store(const std::string &key,
         return;
 
     std::string bytes;
-    putU32(bytes, kMagic);
+    put(bytes, kMagic);
     putString(bytes, tag_);
     putString(bytes, key);
     putString(bytes, payload);
-    putU64(bytes, fnv1a(bytes.data(), bytes.size(), kFnvBasisA));
+    put(bytes, fnv1a(bytes.data(), bytes.size(), kFnvBasisA));
 
     // Atomic publish: write a private temp file, then rename() onto
     // the record name. Readers either see the old record or the new
@@ -710,43 +619,20 @@ RunStats
 cachedSimulate(const MachineConfig &machine,
                const WorkloadParams &workload)
 {
-    ResultStore &rs = resultStore();
-    if (!rs.enabled())
-        return simulate(machine, workload);
-
-    std::string key = resultKey(machine, workload);
-    std::string payload;
-    RunStats out;
-    if (rs.lookup(key, payload) && deserializeRunStats(payload, out))
-        return out;
-
-    out = simulate(machine, workload);
-    rs.store(key, serializeRunStats(out));
-    return out;
+    auto run = [&] { return simulate(machine, workload); };
+    if (!resultStore().enabled())
+        return run();
+    return cachedRun<RunStats>(resultKey(machine, workload), run);
 }
 
 ChipRunStats
 cachedChipRun(const ChipConfig &chip,
               const std::vector<WorkloadParams> &workloads)
 {
-    ResultStore &rs = resultStore();
-    if (!rs.enabled()) {
-        Chip c(chip, workloads);
-        return c.run();
-    }
-
-    std::string key = resultKey(chip, workloads);
-    std::string payload;
-    ChipRunStats out;
-    if (rs.lookup(key, payload) &&
-        deserializeChipRunStats(payload, out)) {
-        return out;
-    }
-
-    Chip c(chip, workloads);
-    out = c.run();
-    rs.store(key, serializeChipRunStats(out));
-    return out;
+    auto run = [&] { return Chip(chip, workloads).run(); };
+    if (!resultStore().enabled())
+        return run();
+    return cachedRun<ChipRunStats>(resultKey(chip, workloads), run);
 }
 
 } // namespace gals

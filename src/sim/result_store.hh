@@ -146,11 +146,11 @@ ResultStore &resultStore();
 void configureResultStore(const std::string &dir);
 
 // ----------------------------------------------------------------------
-// Canonical key serialization. Every semantic field of the
-// configuration tuple is rendered as stable text (doubles in %a
-// hexfloat, so the key is exact); two tuples differing in any field
-// produce different keys, and the text survives in each record for
-// collision-proof verification.
+// Canonical key serialization. Every field the forEachField visitors
+// list is rendered as stable text (doubles in %a hexfloat, so the key
+// is exact); two tuples differing in any field produce different
+// keys, and the text survives in each record for collision-proof
+// verification.
 // ----------------------------------------------------------------------
 std::string resultKey(const MachineConfig &machine,
                       const WorkloadParams &workload);
@@ -158,11 +158,11 @@ std::string resultKey(const ChipConfig &chip,
                       const std::vector<WorkloadParams> &workloads);
 
 // ----------------------------------------------------------------------
-// Binary payload (de)serialization. Value-exact: every counter and
-// tick travels verbatim, so a cached RunStats is indistinguishable
-// from a fresh one (that is what keeps warm JSON byte-identical —
-// all reported doubles are derived from these exact integers).
-// Deserializers return false on any malformed input.
+// Binary payload (de)serialization over the stats structs' visitors.
+// Value-exact: every counter and tick travels verbatim, so a cached
+// RunStats is indistinguishable from a fresh one (that is what keeps
+// warm JSON byte-identical — all reported doubles derive from these
+// exact integers). Deserializers fail cleanly on malformed input.
 // ----------------------------------------------------------------------
 std::string serializeRunStats(const RunStats &stats);
 bool deserializeRunStats(const std::string &bytes, RunStats &out);

@@ -114,6 +114,22 @@ struct PhaseParams
     double branch_noise = 0.02;
 };
 
+/** Every PhaseParams field (common/types.hh). */
+template <FieldsOf<PhaseParams> P, class F>
+void
+forEachField(P &p, F &&f)
+{
+    auto &[len, blk, hot, tot, exf, exl, llm, lim, nch, seg, xch, ld, st,
+           ldc, brd, fp, mul, div, strb, strs, rndb, rnd, shf, lsf, bpl,
+           bn] = p;
+    f("len", len); f("blk", blk); f("hot", hot); f("tot", tot); f("exf", exf);
+    f("exl", exl); f("llm", llm); f("lim", lim); f("nch", nch); f("seg", seg);
+    f("xch", xch); f("ld", ld); f("st", st); f("ldc", ldc); f("brd", brd);
+    f("fp", fp); f("mul", mul); f("div", div); f("strb", strb);
+    f("strs", strs); f("rndb", rndb); f("rnd", rnd); f("shf", shf);
+    f("lsf", lsf); f("bpl", bpl); f("bn", bn);
+}
+
 /** A complete synthetic benchmark: identity plus a phase schedule. */
 struct WorkloadParams
 {
@@ -146,6 +162,19 @@ struct WorkloadParams
     /** The paper's original simulation window, for Tables 6-8. */
     std::string paper_window;
 };
+
+/** Every WorkloadParams field (common/types.hh); each phase is
+ * visited as one "phase" element. */
+template <FieldsOf<WorkloadParams> W, class F>
+void
+forEachField(W &w, F &&f)
+{
+    // paper_window is bound, not visited: nothing simulated uses it.
+    auto &[name, suite, sim, warm, seed, phase, shared, off,
+           paper_window] = w;
+    f("name", name); f("suite", suite); f("sim", sim); f("warm", warm);
+    f("seed", seed); f("shared", shared); f("off", off); f("phase", phase);
+}
 
 } // namespace gals
 

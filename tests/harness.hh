@@ -7,7 +7,8 @@
  * paper table is a deterministic function of RunStats, so "close" is
  * a bug. This header provides the pieces the test suite composes:
  *
- *  - expectSameStats: field-by-field RunStats equality;
+ *  - expectSameStats / expectSameChipStats: field-by-field equality
+ *    over every member the stats structs' forEachField visitors list;
  *  - goldenMachine / goldenWorkload: the pinned golden-row setups;
  *  - randomMachine / randomWorkload: a seeded generator over the
  *    MachineConfig × workload × jitter space, biased toward the hard
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cmp/chip.hh"
@@ -38,27 +40,34 @@
 namespace gals::harness
 {
 
-/** Field-by-field equality of two measured-window stat blocks. */
-inline void
-expectSameStats(const RunStats &a, const RunStats &b)
+/** Field-by-field equality of two RunStats (or ChipRunStats) over the
+ * struct's forEachField visitor: every member is compared, and a
+ * failure names the field. */
+template <class S>
+void
+expectSameStats(const S &a, const S &b)
 {
-    EXPECT_EQ(a.committed, b.committed);
-    EXPECT_EQ(a.time_ps, b.time_ps);
-    EXPECT_EQ(a.l1i_accesses, b.l1i_accesses);
-    EXPECT_EQ(a.l1i_misses, b.l1i_misses);
-    EXPECT_EQ(a.l1d_accesses, b.l1d_accesses);
-    EXPECT_EQ(a.l1d_misses, b.l1d_misses);
-    EXPECT_EQ(a.l2_accesses, b.l2_accesses);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
-    EXPECT_EQ(a.flushes, b.flushes);
-    EXPECT_EQ(a.relocks, b.relocks);
-    EXPECT_EQ(a.icache_residency, b.icache_residency);
-    EXPECT_EQ(a.dcache_residency, b.dcache_residency);
-    EXPECT_EQ(a.iq_int_residency, b.iq_int_residency);
-    EXPECT_EQ(a.iq_fp_residency, b.iq_fp_residency);
+    // The i-th field visited in `b` has the type of the i-th in `a`.
+    std::vector<const void *> bs;
+    forEachField(b, [&](const char *, const auto &v) { bs.push_back(&v); });
+    std::size_t i = 0;
+    forEachField(a, [&](const char *name, const auto &va) {
+        using T = std::remove_cvref_t<decltype(va)>;
+        const T &vb = *static_cast<const T *>(bs[i++]);
+        if constexpr (std::is_same_v<T, std::vector<RunStats>>) {
+            ASSERT_EQ(va.size(), vb.size()) << name;
+            for (std::size_t c = 0; c < va.size(); ++c) {
+                SCOPED_TRACE(name + ("[" + std::to_string(c) + "]"));
+                expectSameStats(va[c], vb[c]);
+            }
+        } else {
+            EXPECT_EQ(va, vb) << name;
+        }
+    });
 }
+
+/** Equality of two chip runs: every core's stats plus the totals. */
+inline constexpr auto expectSameChipStats = expectSameStats<ChipRunStats>;
 
 /** The golden-row window: 12k measured + 2k warmup instructions. */
 inline WorkloadParams

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/arena.hh"
+#include "harness.hh"
 #include "sim/simulation.hh"
 #include "workload/suite.hh"
 
@@ -78,13 +79,8 @@ TEST(Arena, RepeatedSweepsRecycleAndStayIdentical)
 
     RunStats first = simulate(m, wl);
     for (int i = 0; i < 5; ++i) {
-        RunStats again = simulate(m, wl);
-        EXPECT_EQ(again.committed, first.committed) << i;
-        EXPECT_EQ(again.time_ps, first.time_ps) << i;
-        EXPECT_EQ(again.l1i_misses, first.l1i_misses) << i;
-        EXPECT_EQ(again.l1d_misses, first.l1d_misses) << i;
-        EXPECT_EQ(again.mispredicts, first.mispredicts) << i;
-        EXPECT_EQ(again.relocks, first.relocks) << i;
+        SCOPED_TRACE(i);
+        harness::expectSameStats(simulate(m, wl), first);
     }
 }
 

@@ -81,26 +81,6 @@ fileBytes(const std::string &path)
     return ss.str();
 }
 
-/** Field-by-field equality of two chip runs (per-core + totals). */
-void
-expectSameChipStats(const ChipRunStats &a, const ChipRunStats &b)
-{
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (size_t c = 0; c < a.cores.size(); ++c) {
-        SCOPED_TRACE("core " + std::to_string(c));
-        expectSameStats(a.cores[c], b.cores[c]);
-    }
-    EXPECT_EQ(a.total_committed, b.total_committed);
-    EXPECT_EQ(a.makespan_ps, b.makespan_ps);
-    EXPECT_EQ(a.l2_accesses, b.l2_accesses);
-    EXPECT_EQ(a.l2_misses, b.l2_misses);
-    EXPECT_EQ(a.bank_conflicts, b.bank_conflicts);
-    EXPECT_EQ(a.bank_mshr_waits, b.bank_mshr_waits);
-    EXPECT_EQ(a.fill_merges, b.fill_merges);
-    EXPECT_EQ(a.invalidations, b.invalidations);
-    EXPECT_EQ(a.ownership_transfers, b.ownership_transfers);
-}
-
 /** Nondecreasing timestamps on every recorded track. */
 void
 expectTracksMonotonic(const obs::Tracer &tracer)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cmp/chip.hh"
+#include "harness.hh"
 #include "sim/simulation.hh"
 #include "workload/suite.hh"
 
@@ -43,11 +44,7 @@ TEST(Processor, DeterministicRuns)
 {
     WorkloadParams w = controlled(10'000);
     MachineConfig m = MachineConfig::mcdProgram({});
-    RunStats a = simulate(m, w);
-    RunStats b = simulate(m, w);
-    EXPECT_EQ(a.time_ps, b.time_ps);
-    EXPECT_EQ(a.l1d_misses, b.l1d_misses);
-    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    harness::expectSameStats(simulate(m, w), simulate(m, w));
 }
 
 TEST(Processor, ThroughputBoundedByMachineWidth)
