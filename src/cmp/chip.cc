@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -195,6 +196,14 @@ Chip::run()
     m.add("chip.l2.fill_merges", out.fill_merges);
     m.add("chip.coh.invalidations", out.invalidations);
     m.add("chip.coh.ownership_transfers", out.ownership_transfers);
+    // Kernel work, per local domain kind summed over cores.
+    const KernelCounters &k = scheduler_.counters();
+    for (int d = 0; d < kNumDomains; ++d) {
+        const std::string kind = domainTag(static_cast<DomainId>(d));
+        m.add("kernel.steps." + kind, k.steps[static_cast<size_t>(d)]);
+        m.add("kernel.skipped_edges." + kind,
+              k.skipped_edges[static_cast<size_t>(d)]);
+    }
     return out;
 }
 

@@ -16,4 +16,13 @@ domainName(DomainId id)
     }
 }
 
+const char *
+domainTag(DomainId id)
+{
+    static const char *const tags[kNumDomains] = {"fe", "int", "fp",
+                                                  "ls"};
+    int d = static_cast<int>(id);
+    return d < kNumDomains ? tags[d] : "ext";
+}
+
 } // namespace gals

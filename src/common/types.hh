@@ -67,6 +67,10 @@ constexpr int kNumDomains = 4;
 /** Printable domain name. */
 const char *domainName(DomainId id);
 
+/** Short domain tag ("fe", "int", "fp", "ls"): trace track and metric
+ * name suffix. */
+const char *domainTag(DomainId id);
+
 /**
  * Field lists. Each config and stats struct declares, next to its
  * definition, `forEachField(s, f)`: f(name, member) once per field, in

@@ -98,6 +98,7 @@ DomainScheduler::runReference(const CoreProgress *cores, int ncores)
             ++active;
     }
 
+    KernelCounters ctr;
     std::uint64_t steps = 0;
     std::uint64_t last_progress = totalProgress(cores, ncores);
     while (active > 0) {
@@ -118,6 +119,7 @@ DomainScheduler::runReference(const CoreProgress *cores, int ncores)
         }
         domains_[d]->step(best);
         advanceClock(d);
+        ++ctr.steps[static_cast<size_t>(d % kNumDomains)];
 
         int c = d / kNumDomains;
         if (*cores[c].progress >= cores[c].target) {
@@ -136,6 +138,7 @@ DomainScheduler::runReference(const CoreProgress *cores, int ncores)
             last_progress = progress;
         }
     }
+    counters_ = ctr;
 }
 
 void
@@ -162,11 +165,13 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
         }
     }
 
+    KernelCounters ctr;
     std::uint64_t steps = 0;
     std::uint64_t last_progress = totalProgress(cores, ncores);
     while (active > 0) {
         int d = fabric_.head();
         size_t di = static_cast<size_t>(d);
+        size_t kind = static_cast<size_t>(d % kNumDomains);
         GALS_ASSERT(fabric_.key(d) != kTickMax,
                     "event kernel: every domain parked at "
                     "committed=%llu (missing wakeup port)",
@@ -189,7 +194,9 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             // progress means this very edge is the landing — fall
             // through and deliver it with a real step, so the epoch
             // bump broadcasts.
+            Cycle before = clocks_[di].cycle();
             advanceClockWhileBelow(d, fabric_.bound(d));
+            ctr.skipped_edges[kind] += clocks_[di].cycle() - before;
             Tick ne = clocks_[di].nextEdge();
             if (ne != edge) {
                 fabric_.setKey(d, ne);
@@ -200,6 +207,7 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             obs::Tracer::instance().domainStep(d, edge,
                                                clocks_[di].period());
         Tick raw = domains_[d]->step(edge);
+        ++ctr.steps[kind];
         // The step's bound extrapolated the pre-advance grid; if this
         // domain's own period change lands on the consumed edge, every
         // such memo is stale — re-derive at the next edge (waking
@@ -236,6 +244,7 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
             last_progress = progress;
         }
     }
+    counters_ = ctr;
 }
 
 } // namespace gals

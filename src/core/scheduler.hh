@@ -30,6 +30,7 @@
 #ifndef GALS_CORE_SCHEDULER_HH
 #define GALS_CORE_SCHEDULER_HH
 
+#include <array>
 #include <cstdint>
 
 #include "clock/clock.hh"
@@ -64,6 +65,20 @@ struct CoreProgress
     std::uint64_t target;
 };
 
+/**
+ * Deterministic work counters of one run, indexed by local domain
+ * kind (FrontEnd, Integer, FloatingPoint, LoadStore) and summed over
+ * cores. Kept in the run loop's locals and published once per run,
+ * so they cost no registry traffic per step.
+ */
+struct KernelCounters
+{
+    /** Domain steps delivered. */
+    std::array<std::uint64_t, kNumDomains> steps{};
+    /** Edges consumed without a step (proven idle; event kernel). */
+    std::array<std::uint64_t, kNumDomains> skipped_edges{};
+};
+
 /** Steps a set of domain units in reference-equivalent order. */
 class DomainScheduler
 {
@@ -90,6 +105,9 @@ class DomainScheduler
     /** Reference kernel: step every active domain at every edge. */
     void runReference(const CoreProgress *cores, int ncores);
 
+    /** Work counters of the most recent run. */
+    const KernelCounters &counters() const { return counters_; }
+
   private:
     /** advance() + epoch-bump broadcast when a period change lands;
      * returns true when a change landed on the consumed edge. */
@@ -102,6 +120,7 @@ class DomainScheduler
     int count_;
     WakeFabric &fabric_;
     EpochBumpPort *const *epochs_;
+    KernelCounters counters_;
 };
 
 } // namespace gals

@@ -24,10 +24,6 @@ thread_local bool t_recording = false;
 namespace
 {
 
-/** Core-local domain track suffixes, DomainId order. */
-const char *const kDomainSuffix[kNumDomains] = {"fe", "int", "fp",
-                                                "ls"};
-
 struct EvInfo
 {
     const char *name;
@@ -146,7 +142,7 @@ std::string
 trackName(int gd)
 {
     return csprintf("core%d/%s", gd / kNumDomains,
-                    kDomainSuffix[gd % kNumDomains]);
+                    domainTag(static_cast<DomainId>(gd % kNumDomains)));
 }
 
 std::once_flag g_env_init_once;

@@ -338,6 +338,60 @@ TEST_F(ObsTest, ChipTelemetryFoldsIntoMetrics)
     m.clear();
 }
 
+/**
+ * The kernel's work counters are deterministic: exact step and
+ * skipped-edge counts for one fixed two-core chip, per local domain
+ * kind. A kernel change that moves them must update these pins (and
+ * say which counter it reduced).
+ */
+TEST_F(ObsTest, KernelWorkCountersArePinned)
+{
+    obs::MetricsRegistry &m = obs::MetricsRegistry::instance();
+    ChipConfig cc;
+    cc.machine = MachineConfig::mcdProgram({});
+    cc.cores = 2;
+    const std::vector<WorkloadParams> mix = {
+        perCoreWorkload(goldenWorkload("gzip"), 0),
+        perCoreWorkload(goldenWorkload("apsi"), 1)};
+    auto kind = [](int d) {
+        return std::string(domainTag(static_cast<DomainId>(d)));
+    };
+
+    m.clear();
+    Chip chip(cc, mix);
+    chip.setKernel(Kernel::EventDriven);
+    chip.run();
+    std::array<std::uint64_t, kNumDomains> steps{}, skipped{};
+    for (int d = 0; d < kNumDomains; ++d) {
+        steps[static_cast<size_t>(d)] =
+            m.value("kernel.steps." + kind(d));
+        skipped[static_cast<size_t>(d)] =
+            m.value("kernel.skipped_edges." + kind(d));
+    }
+    const std::array<std::uint64_t, kNumDomains> want_steps = {
+        12040, 40816, 15856, 15714};
+    const std::array<std::uint64_t, kNumDomains> want_skipped = {
+        96993, 61463, 33053, 90733};
+    EXPECT_EQ(steps, want_steps);
+    EXPECT_EQ(skipped, want_skipped);
+
+    // The reference kernel steps every edge it consumes; the event
+    // kernel consumes no edge the reference did not (a parked
+    // domain's clock lags, it never runs ahead).
+    m.clear();
+    Chip ref(cc, mix);
+    ref.setKernel(Kernel::Reference);
+    ref.run();
+    for (int d = 0; d < kNumDomains; ++d) {
+        SCOPED_TRACE(kind(d));
+        EXPECT_EQ(m.value("kernel.skipped_edges." + kind(d)), 0u);
+        EXPECT_LE(steps[static_cast<size_t>(d)] +
+                      skipped[static_cast<size_t>(d)],
+                  m.value("kernel.steps." + kind(d)));
+    }
+    m.clear();
+}
+
 TEST_F(ObsTest, ResultStoreStatsFoldIntoMetrics)
 {
     obs::MetricsRegistry &m = obs::MetricsRegistry::instance();
