@@ -174,13 +174,18 @@ IssueCluster::wakeBound() const
         // The ready list partitions the queue by what each op is
         // provably waiting for: candidates need this domain's next
         // edge, timed slots an exact future tick, chained waiters a
-        // completion (the completion port's chain walk wakes us), and
-        // a stale epoch a rebuild at the next edge.
+        // completion (the completion port's chain walk wakes us at
+        // the value's visibility), and a stale epoch a rebuild at the
+        // next edge.
         if (iq_.hasCandidates() || iq_epoch_ != timing_.epoch())
             return 0;
         w = std::min(w, iq_.minTimed());
     }
-    if (!disp_->empty())
+    // A full queue refuses the FIFO head, so a visible head is no
+    // work: the queue regains room only through one of the wakes
+    // above or a capacity increase, which the reconfiguration port
+    // publishes. A structurally blocked consumer never polls.
+    if (!disp_->empty() && !iq_.full())
         w = std::min(w, disp_->frontVisibleAt());
     return w;
 }

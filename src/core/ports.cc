@@ -35,7 +35,7 @@ CorePorts::CorePorts(WakeHub &hub, CoreTiming &timing,
       disp_ls(hub, DomainId::FrontEnd, DomainId::LoadStore,
               dispatchCapacity(cfg, cfg.lsDispatchDepth())),
       store_buffer(hub, lsq, cfg.store_buffer_entries),
-      completion(hub, regs, iq_int, iq_fp, rob),
+      completion(hub, timing, regs, iq_int, iq_fp, rob),
       redirect(hub, timing),
       agen(hub, lsq),
       store_ready(hub, DomainId::LoadStore, DomainId::FrontEnd),

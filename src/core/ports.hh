@@ -65,17 +65,39 @@ constexpr int kMaxCoreMshrs = 16;
  * primitive forwards here — and the scheduler reads and re-keys it
  * between steps. A single-core chip has a fabric of four domains,
  * so its one window is the identity mapping.
+ *
+ * ## The packed calendar
+ *
+ * Each calendar key packs `(tick << kIndexBits) | global index`, and
+ * a parked domain keeps its index under an all-ones tick field. The
+ * pick is then a plain unsigned minimum over the keys, and it is
+ * exactly the reference kernel's order: keys of distinct domains
+ * differ in their index bits, so the minimum is unique; an earlier
+ * tick always wins, because `(t << b) | i < (t + 1) << b` for every
+ * index `i`; and on equal ticks the lower index wins. When every
+ * domain is parked the minimum is domain 0's parked key, which the
+ * scheduler detects through key().
  */
 class WakeFabric
 {
   public:
+    /** Low key bits holding the global domain index. */
+    static constexpr int kIndexBits = 8;
+    static_assert(kMaxSchedDomains <= (1 << kIndexBits),
+                  "calendar index field too narrow for the fabric");
+    static_assert(kMaxSchedDomains % 4 == 0,
+                  "head() scans the keys in blocks of four");
+
     WakeFabric(const Clock *clocks, int count)
         : clocks_(clocks), count_(count)
     {
         GALS_ASSERT(count >= 1 && count <= kMaxSchedDomains,
                     "WakeFabric domain count out of range");
         wake_.fill(0);
-        key_.fill(kTickMax);
+        // Every slot parked, the padding past count_ included: head()
+        // scans in blocks of four and must never pick a pad slot.
+        for (int d = 0; d < kMaxSchedDomains; ++d)
+            park(d);
     }
 
     int domainCount() const { return count_; }
@@ -91,8 +113,7 @@ class WakeFabric
     {
         for (int d = 0; d < count_; ++d) {
             wake_[static_cast<size_t>(d)] = 0;
-            key_[static_cast<size_t>(d)] =
-                clocks_[static_cast<size_t>(d)].nextEdge();
+            setKey(d, clocks_[static_cast<size_t>(d)].nextEdge());
         }
     }
 
@@ -100,30 +121,61 @@ class WakeFabric
     // wake path updates it without an extra indirection).
     Tick bound(int d) const { return wake_[static_cast<size_t>(d)]; }
     void setBound(int d, Tick t) { wake_[static_cast<size_t>(d)] = t; }
-    Tick key(int d) const { return key_[static_cast<size_t>(d)]; }
-    void setKey(int d, Tick k) { key_[static_cast<size_t>(d)] = k; }
-    void park(int d) { key_[static_cast<size_t>(d)] = kTickMax; }
+
+    /** Calendar tick of domain `d` (kTickMax while parked). */
+    Tick
+    key(int d) const
+    {
+        Tick t = key_[static_cast<size_t>(d)] >> kIndexBits;
+        return t == kParkedTick ? kTickMax : t;
+    }
+    void
+    setKey(int d, Tick t)
+    {
+        key_[static_cast<size_t>(d)] = pack(d, t);
+    }
+    void
+    park(int d)
+    {
+        key_[static_cast<size_t>(d)] =
+            (kParkedTick << kIndexBits) | static_cast<Tick>(d);
+    }
 
     /** Earliest-keyed domain (lowest global index on ties, matching
-     * the reference kernel's scan order exactly). */
+     * the reference kernel's scan order exactly): a branchless
+     * minimum over the packed keys, four independent accumulators. */
     int
     head() const
     {
-        int best = 0;
-        Tick best_key = key_[0];
-        for (int d = 1; d < count_; ++d) {
-            Tick k = key_[static_cast<size_t>(d)];
-            if (k < best_key) {
-                best_key = k;
-                best = d;
-            }
+        Tick m0 = key_[0], m1 = key_[1], m2 = key_[2], m3 = key_[3];
+        for (size_t i = 4; i < static_cast<size_t>(count_); i += 4) {
+            m0 = std::min(m0, key_[i]);
+            m1 = std::min(m1, key_[i + 1]);
+            m2 = std::min(m2, key_[i + 2]);
+            m3 = std::min(m3, key_[i + 3]);
         }
-        return best;
+        return static_cast<int>(std::min(std::min(m0, m1),
+                                         std::min(m2, m3)) &
+                                kIndexMask);
     }
 
   private:
     friend class WakeHub;
     friend class InterconnectPort; // cross-core coherence wakes.
+
+    static constexpr Tick kIndexMask = (Tick{1} << kIndexBits) - 1;
+    /** Tick field of a parked key: all ones. */
+    static constexpr Tick kParkedTick = kTickMax >> kIndexBits;
+
+    /** Packed calendar key of domain `d` at tick `t`. */
+    static Tick
+    pack(int d, Tick t)
+    {
+        GALS_ASSERT(t < kParkedTick,
+                    "calendar tick %llu exceeds the packed key width",
+                    static_cast<unsigned long long>(t));
+        return (t << kIndexBits) | static_cast<Tick>(d);
+    }
 
     /**
      * Record that global domain `gd` may have work at `t`. Lazy key:
@@ -143,7 +195,7 @@ class WakeFabric
         wake_[i] = t;
         if (!event_mode_)
             return;
-        Tick key = std::max(clocks_[i].nextEdge(), t);
+        Tick key = pack(gd, std::max(clocks_[i].nextEdge(), t));
         if (key < key_[i])
             key_[i] = key;
     }
@@ -336,11 +388,11 @@ class DispatchPort
 class CompletionPort
 {
   public:
-    CompletionPort(WakeHub &hub, RegisterFiles &regs,
-                   IssueQueue &iq_int, IssueQueue &iq_fp,
-                   const Rob &rob)
-        : hub_(hub), regs_(regs), iq_int_(iq_int), iq_fp_(iq_fp),
-          rob_(rob)
+    CompletionPort(WakeHub &hub, const CoreTiming &timing,
+                   RegisterFiles &regs, IssueQueue &iq_int,
+                   IssueQueue &iq_fp, const Rob &rob)
+        : hub_(hub), timing_(timing), regs_(regs), iq_int_(iq_int),
+          iq_fp_(iq_fp), rob_(rob)
     {}
 
     /**
@@ -355,17 +407,10 @@ class CompletionPort
              size_t rob_idx, Tick now)
     {
         regs_.complete(ref, when, producer);
-        if (iq_int_.wakeWaiters(ref)) {
-            hub_.wakeRaw(DomainId::Integer,
-                         WakeHub::consumableAt(producer,
-                                               DomainId::Integer,
-                                               now));
-        }
-        if (iq_fp_.wakeWaiters(ref)) {
-            hub_.wakeRaw(DomainId::FloatingPoint,
-                         WakeHub::consumableAt(
-                             producer, DomainId::FloatingPoint, now));
-        }
+        if (iq_int_.wakeWaiters(ref))
+            wakeCluster(DomainId::Integer, when, producer, now);
+        if (iq_fp_.wakeWaiters(ref))
+            wakeCluster(DomainId::FloatingPoint, when, producer, now);
         // Retire blocks only on the ROB head: a younger op's
         // completion cannot unblock the front end, and once the head
         // run reaches an already-completed op the same retire call
@@ -379,7 +424,26 @@ class CompletionPort
     }
 
   private:
+    /**
+     * A woken waiter cannot issue before the value is visible in its
+     * cluster, so the cluster sleeps until then: it evaluates the
+     * waiter at exactly the edge the reference scan first finds it
+     * ready. A period change landing in between re-wakes the cluster
+     * through the epoch-bump broadcast.
+     */
+    void
+    wakeCluster(DomainId cluster, Tick when, DomainId producer,
+                Tick now)
+    {
+        hub_.wakeRaw(cluster,
+                     std::max(timing_.visibleAt(when, producer,
+                                                cluster),
+                              WakeHub::consumableAt(producer, cluster,
+                                                    now)));
+    }
+
     WakeHub &hub_;
+    const CoreTiming &timing_;
     RegisterFiles &regs_;
     IssueQueue &iq_int_;
     IssueQueue &iq_fp_;
@@ -584,12 +648,16 @@ class EpochBumpPort
 };
 
 /**
- * The re-lock landing channel: a structure change schedules a period
+ * The reconfiguration channel. A structure change schedules a period
  * change on some domain's clock, and that domain must consume the
  * edge where the change lands even if it is otherwise idle (other
  * domains read its grid for synchronizer timing, so a parked clock
- * must not lag across the change). Control decisions run inside the
- * front end's step, so the source domain is fixed.
+ * must not lag across the change). A change applied at once (the
+ * downsize-early side of the re-lock rule) can also unblock the
+ * owning domain immediately: an issue queue that grows regains room
+ * for its dispatch FIFO, and a full queue does not poll that FIFO.
+ * Control decisions run inside the front end's step, so the source
+ * domain is fixed.
  */
 class ReclockPort
 {
@@ -604,6 +672,16 @@ class ReclockPort
                     "re-lock landing scheduled before its publication "
                     "is consumable");
         hub_.wakeRaw(target, lock_done);
+    }
+
+    /** A structure of `target` changed during the front end's step at
+     * `now`: the owning domain re-evaluates at the first tick the
+     * publication order rule allows. */
+    void
+    applied(DomainId target, Tick now)
+    {
+        hub_.wakeRaw(target, WakeHub::consumableAt(DomainId::FrontEnd,
+                                                   target, now));
     }
 
   private:

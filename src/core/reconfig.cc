@@ -125,8 +125,10 @@ ReconfigUnit::request(Structure s, int target, Tick now,
 
     if (f_new >= f_old) {
         // Speeding up: run the simpler configuration through the
-        // lock window (downsize at the start of the change).
+        // lock window (downsize at the start of the change). With a
+        // forced frequency every change lands here, growth included.
         applyStructure(s, target);
+        reclock_.applied(d, now);
     } else {
         // Slowing down: upsize only once the slower clock is locked.
         pending_[static_cast<size_t>(d)] =

@@ -47,6 +47,46 @@ TEST(Differential, PaperConfigsWithDenseInvariantChecks)
     }
 }
 
+TEST(Differential, ForcedFrequencyQueueGrowthIsBitIdentical)
+{
+    // With force_freq_ghz set every domain keeps one frequency, so
+    // every structure change takes the apply-at-once side of the
+    // re-lock rule, growth included. A full issue queue does not poll
+    // its dispatch FIFO, so a queue that grows must be woken through
+    // the reconfiguration port. Eager queue controllers (one vote, no
+    // hysteresis) resize the queues many times per window. Over the
+    // whole suite this setting reaches a full queue with a visible
+    // FIFO head at the growth (galgel does): without the port's wake
+    // the kernels diverge.
+    const std::vector<WorkloadParams> &suite = benchmarkSuite();
+    ASSERT_GE(suite.size(), 20u);
+    std::uint64_t growths = 0;
+    for (const WorkloadParams &entry : suite) {
+        MachineConfig m = MachineConfig::mcdPhaseAdaptive();
+        m.force_freq_ghz = 1.0;
+        m.adaptive.iq_int = 1;
+        m.adaptive.iq_fp = 1;
+        m.queue_persistence = 1;
+        m.queue_hysteresis = 0.0;
+        m.cache_interval_instrs = 600;
+        WorkloadParams wl = entry;
+        wl.sim_instrs = 4'000;
+        wl.warmup_instrs = 500;
+        SCOPED_TRACE(wl.name);
+        RunStats event =
+            simulateWithKernel(m, wl, Kernel::EventDriven, 0);
+        harness::expectSameStats(
+            event, simulateWithKernel(m, wl, Kernel::Reference, 0));
+        for (const ReconfigEvent &e : event.trace.events()) {
+            bool queue = e.structure == Structure::IntIssueQueue ||
+                         e.structure == Structure::FpIssueQueue;
+            if (queue && e.to_index > e.from_index)
+                ++growths;
+        }
+    }
+    EXPECT_GT(growths, 0u);
+}
+
 TEST(Differential, MidFillRelockRegression)
 {
     // Regression for the fetch_line_ready_ / fetch_resume_ epoch

@@ -369,9 +369,9 @@ TEST_F(ObsTest, KernelWorkCountersArePinned)
             m.value("kernel.skipped_edges." + kind(d));
     }
     const std::array<std::uint64_t, kNumDomains> want_steps = {
-        12040, 40816, 15856, 15714};
+        12040, 13845, 7517, 15714};
     const std::array<std::uint64_t, kNumDomains> want_skipped = {
-        96993, 61463, 33053, 90733};
+        96993, 88434, 41392, 90733};
     EXPECT_EQ(steps, want_steps);
     EXPECT_EQ(skipped, want_skipped);
 

@@ -13,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <vector>
 
 #include "clock/clock.hh"
+#include "common/random.hh"
 #include "core/domain.hh"
 #include "core/ports.hh"
 
@@ -233,4 +235,91 @@ TEST(Ports, WakeHubHeadPrefersEarliestThenLowestIndex)
     EXPECT_EQ(fabric.head(), 1); // earliest wins; ties to lowest index.
     fabric.park(1);
     EXPECT_EQ(fabric.head(), 2);
+}
+
+/**
+ * The packed calendar against a plain linear scan of (tick, index)
+ * on fabrics of one, two, eight and sixteen cores: random re-keys,
+ * parks and port wakes over a narrow tick range (so ties are
+ * common), interleaved with all-parked rounds and keys at the top of
+ * the packed tick range.
+ */
+TEST(Ports, PackedCalendarHeadMatchesLinearScan)
+{
+    Pcg32 rng(0xCA1E4DA2, 3);
+    const Tick kTopTick = (kTickMax >> WakeFabric::kIndexBits) - 1;
+    for (int count : {4, 8, 32, 64}) {
+        SCOPED_TRACE("domains=" + std::to_string(count));
+        std::vector<Clock> clocks(static_cast<size_t>(count),
+                                  Clock(1000, 1000));
+        WakeFabric fabric(clocks.data(), count);
+        std::vector<WakeHub> hubs;
+        hubs.reserve(static_cast<size_t>(count / kNumDomains));
+        for (int c = 0; c < count / kNumDomains; ++c)
+            hubs.emplace_back(fabric, c * kNumDomains, kNumDomains);
+        fabric.beginEventRun();
+        std::vector<Tick> key(static_cast<size_t>(count), 1000);
+
+        // Reference: earliest key, lowest index on ties; domain 0
+        // when every domain is parked.
+        auto scan = [&] {
+            int best = 0;
+            for (int d = 1; d < count; ++d) {
+                if (key[static_cast<size_t>(d)] <
+                    key[static_cast<size_t>(best)])
+                    best = d;
+            }
+            return best;
+        };
+        for (int op = 0; op < 4000; ++op) {
+            int d = static_cast<int>(
+                rng.nextBounded(static_cast<std::uint32_t>(count)));
+            size_t di = static_cast<size_t>(d);
+            Tick t = 1000 + rng.nextBounded(8);
+            switch (rng.nextRange(0, 9)) {
+              case 0: case 1: case 2:
+                fabric.setKey(d, t);
+                key[di] = t;
+                break;
+              case 3:
+                fabric.park(d);
+                key[di] = kTickMax;
+                break;
+              case 4:
+                fabric.setKey(d, kTopTick);
+                key[di] = kTopTick;
+                break;
+              case 5:
+                for (int k = 0; k < count; ++k) {
+                    fabric.park(k);
+                    key[static_cast<size_t>(k)] = kTickMax;
+                }
+                break;
+              default: {
+                // A port wake: the bound drops to the wake time, the
+                // key to the first edge at or after it.
+                fabric.setBound(d, kTickMax);
+                DomainId dst = static_cast<DomainId>(d % kNumDomains);
+                WakePort(hubs[static_cast<size_t>(d / kNumDomains)],
+                         DomainId::FrontEnd, dst)
+                    .publishAt(t - 1, t);
+                EXPECT_EQ(fabric.bound(d), t);
+                key[di] = std::min(key[di], std::max(Tick{1000}, t));
+                break;
+              }
+            }
+            ASSERT_EQ(fabric.head(), scan()) << "op " << op;
+            ASSERT_EQ(fabric.key(d), key[di]) << "op " << op;
+        }
+    }
+}
+
+TEST(PortsDeathTest, CalendarKeyBeyondPackedWidthAsserts)
+{
+    std::array<Clock, 4> clocks = testClocks();
+    WakeFabric fabric(clocks.data(), kNumDomains);
+    const Tick top = (kTickMax >> WakeFabric::kIndexBits) - 1;
+    fabric.setKey(1, top); // the widest legal tick.
+    EXPECT_EQ(fabric.key(1), top);
+    EXPECT_DEATH(fabric.setKey(1, top + 1), "packed key width");
 }
