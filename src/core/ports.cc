@@ -37,7 +37,7 @@ CorePorts::CorePorts(WakeHub &hub, CoreTiming &timing,
       store_buffer(hub, lsq, cfg.store_buffer_entries),
       completion(hub, timing, regs, iq_int, iq_fp, rob),
       redirect(hub, timing),
-      agen(hub, lsq),
+      agen(hub, timing, lsq),
       store_ready(hub, DomainId::LoadStore, DomainId::FrontEnd),
       reclock(hub)
 {}

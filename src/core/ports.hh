@@ -255,6 +255,23 @@ class WakeHub
                    : now;
     }
 
+    /**
+     * Wake tick for a consumer of a value that `src`'s step at `now`
+     * produces at `when`: the value's synchronizer visibility in
+     * `dst`, never earlier than the rule above allows. The consumer
+     * cannot use the value sooner, so waking it earlier only buys a
+     * step that finds the value still in flight. A period change
+     * landing in between re-wakes it through the epoch-bump
+     * broadcast.
+     */
+    static Tick
+    visibleWakeAt(const CoreTiming &timing, DomainId src, DomainId dst,
+                  Tick when, Tick now)
+    {
+        return std::max(timing.visibleAt(when, src, dst),
+                        consumableAt(src, dst, now));
+    }
+
     /** Forward a wake of core-local domain `dd` into the fabric. */
     void
     wakeRaw(DomainId dd, Tick t)
@@ -383,7 +400,10 @@ class DispatchPort
  * completed physical register; the port walks the waiter chains of
  * exactly that register in both issue queues and wakes the domains
  * that actually had a waiter, plus the front end when the completion
- * can unblock the ROB head — each at its rule-computed tick.
+ * can unblock the ROB head — each when the value becomes visible
+ * there. A woken waiter still joins its ready ring at once, in age
+ * order; its cluster evaluates it at exactly the edge where the
+ * reference scan first finds it ready.
  */
 class CompletionPort
 {
@@ -408,38 +428,26 @@ class CompletionPort
     {
         regs_.complete(ref, when, producer);
         if (iq_int_.wakeWaiters(ref))
-            wakeCluster(DomainId::Integer, when, producer, now);
+            wake(DomainId::Integer, when, producer, now);
         if (iq_fp_.wakeWaiters(ref))
-            wakeCluster(DomainId::FloatingPoint, when, producer, now);
+            wake(DomainId::FloatingPoint, when, producer, now);
         // Retire blocks only on the ROB head: a younger op's
         // completion cannot unblock the front end, and once the head
         // run reaches an already-completed op the same retire call
-        // evaluates it without a wake.
-        if (rob_idx == rob_.headIndex()) {
-            hub_.wakeRaw(DomainId::FrontEnd,
-                         WakeHub::consumableAt(producer,
-                                               DomainId::FrontEnd,
-                                               now));
-        }
+        // evaluates it without a wake. The head retires no earlier
+        // than its result is visible to the front end (the retire
+        // gate's `fe_vis`; the producer is the op's own domain).
+        if (rob_idx == rob_.headIndex())
+            wake(DomainId::FrontEnd, when, producer, now);
     }
 
   private:
-    /**
-     * A woken waiter cannot issue before the value is visible in its
-     * cluster, so the cluster sleeps until then: it evaluates the
-     * waiter at exactly the edge the reference scan first finds it
-     * ready. A period change landing in between re-wakes the cluster
-     * through the epoch-bump broadcast.
-     */
     void
-    wakeCluster(DomainId cluster, Tick when, DomainId producer,
-                Tick now)
+    wake(DomainId consumer, Tick when, DomainId producer, Tick now)
     {
-        hub_.wakeRaw(cluster,
-                     std::max(timing_.visibleAt(when, producer,
-                                                cluster),
-                              WakeHub::consumableAt(producer, cluster,
-                                                    now)));
+        hub_.wakeRaw(consumer, WakeHub::visibleWakeAt(
+                                   timing_, producer, consumer, when,
+                                   now));
     }
 
     WakeHub &hub_;
@@ -522,12 +530,15 @@ class RedirectPort
  * The address-generation handoff from the integer cluster to the
  * load/store unit: records the agen completion on the op, clears the
  * LSQ entry's agen wait in place (push wakeup — the walk stops
- * skipping exactly this entry), and wakes the load/store domain.
+ * skipping exactly this entry), and wakes the load/store domain when
+ * the address becomes visible there (the walk's `agen_vis` gate).
  */
 class AgenPort
 {
   public:
-    AgenPort(WakeHub &hub, Lsq &lsq) : hub_(hub), lsq_(lsq) {}
+    AgenPort(WakeHub &hub, const CoreTiming &timing, Lsq &lsq)
+        : hub_(hub), timing_(timing), lsq_(lsq)
+    {}
 
     void
     agenIssued(InFlightOp &op, Tick complete, Tick now)
@@ -538,8 +549,9 @@ class AgenPort
         if (le.wait_kind == 1)
             le.wait_kind = 0;
         hub_.wakeRaw(DomainId::LoadStore,
-                     WakeHub::consumableAt(DomainId::Integer,
-                                           DomainId::LoadStore, now));
+                     WakeHub::visibleWakeAt(timing_, DomainId::Integer,
+                                            DomainId::LoadStore,
+                                            complete, now));
     }
 
     /** Agen uops issued so far (LSQ walk-summary snapshot). */
@@ -547,6 +559,7 @@ class AgenPort
 
   private:
     WakeHub &hub_;
+    const CoreTiming &timing_;
     Lsq &lsq_;
     std::uint32_t issues_ = 0;
 };

@@ -369,9 +369,9 @@ TEST_F(ObsTest, KernelWorkCountersArePinned)
             m.value("kernel.skipped_edges." + kind(d));
     }
     const std::array<std::uint64_t, kNumDomains> want_steps = {
-        12040, 13845, 7517, 15714};
+        10841, 13845, 7517, 11652};
     const std::array<std::uint64_t, kNumDomains> want_skipped = {
-        96993, 88434, 41392, 90733};
+        98192, 88434, 41392, 94794};
     EXPECT_EQ(steps, want_steps);
     EXPECT_EQ(skipped, want_skipped);
 
