@@ -139,7 +139,7 @@ double
 measureItemsPerSec(const MachineConfig &config)
 {
     WorkloadParams wl = benchWorkload();
-    simulate(config, wl); // warm caches and the thread arena.
+    simulate(config, wl); // warm the host caches.
 
     std::uint64_t instrs = 0;
     double elapsed = 0.0;
@@ -216,7 +216,7 @@ measureCmpItemsPerSec(int cores,
     std::uint64_t per_run = 0;
     for (const WorkloadParams &wl : mix)
         per_run += wl.sim_instrs + wl.warmup_instrs;
-    Chip(cc, mix).run(); // warm caches and the thread arena.
+    Chip(cc, mix).run(); // warm the host caches.
 
     std::uint64_t instrs = 0;
     double elapsed = 0.0;
@@ -293,7 +293,7 @@ measureTracedItemsPerSec(const MachineConfig &config)
         return 0.0;
 
     WorkloadParams wl = benchWorkload();
-    simulate(config, wl); // warm caches and the thread arena.
+    simulate(config, wl); // warm the host caches.
     tr.reset();
 
     std::uint64_t instrs = 0;

@@ -21,7 +21,8 @@
 #ifndef GALS_CORE_FETCH_GROUP_HH
 #define GALS_CORE_FETCH_GROUP_HH
 
-#include "common/arena.hh"
+#include <vector>
+
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "predictor/hybrid_predictor.hh"
@@ -183,8 +184,8 @@ class FetchGroupQueue
     }
 
     size_t capacity_;
-    ArenaVector<FetchedOp> ops_;
-    ArenaVector<Group> groups_;
+    std::vector<FetchedOp> ops_;
+    std::vector<Group> groups_;
     size_t op_head_ = 0;
     size_t count_ = 0;
     size_t group_head_ = 0;

@@ -107,7 +107,7 @@ RegisterFiles::checkConsistent() const
         if (free_list.size() > state.size())
             return false;
         // 0 = unseen, 1 = free-listed, 2 = mapped.
-        ArenaVector<std::uint8_t> seen(state.size(), 0);
+        std::vector<std::uint8_t> seen(state.size(), 0);
         for (std::int16_t idx : free_list) {
             if (idx < 0 || static_cast<size_t>(idx) >= state.size())
                 return false;

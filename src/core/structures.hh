@@ -16,8 +16,8 @@
 #include <array>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "core/regfile.hh"
@@ -168,7 +168,7 @@ class Rob
     }
 
   private:
-    ArenaVector<InFlightOp> slots_;
+    std::vector<InFlightOp> slots_;
     size_t head_ = 0;
     size_t tail_ = 0;
     size_t count_ = 0;
@@ -594,12 +594,12 @@ class IssueQueue
 
     int capacity_;
     int phys_int_ = 0;
-    ArenaVector<IqSlot> slots_;
-    ArenaVector<std::int32_t> free_;
+    std::vector<IqSlot> slots_;
+    std::vector<std::int32_t> free_;
     size_t live_ = 0;
-    ArenaVector<CandEntry> cand_;
-    ArenaVector<TimedEntry> timed_;
-    ArenaVector<std::int32_t> wait_heads_;
+    std::vector<CandEntry> cand_;
+    std::vector<TimedEntry> timed_;
+    std::vector<std::int32_t> wait_heads_;
 };
 
 /** Null link of the LSQ blocked-load chains ("no entry"). */
@@ -943,21 +943,21 @@ class Lsq
      * store-ready walk touches only these; the caller compacts, as
      * with the waiting loads).
      */
-    ArenaVector<std::uint64_t> &pendingStores()
+    std::vector<std::uint64_t> &pendingStores()
     {
         return pending_stores_;
     }
-    const ArenaVector<std::uint64_t> &pendingStores() const
+    const std::vector<std::uint64_t> &pendingStores() const
     {
         return pending_stores_;
     }
 
     /** Ids of loads not yet issued to the cache, in age order. */
-    ArenaVector<std::uint64_t> &waitingLoads()
+    std::vector<std::uint64_t> &waitingLoads()
     {
         return waiting_loads_;
     }
-    const ArenaVector<std::uint64_t> &waitingLoads() const
+    const std::vector<std::uint64_t> &waitingLoads() const
     {
         return waiting_loads_;
     }
@@ -977,18 +977,18 @@ class Lsq
 
     size_t capacity_;
     size_t mask_;
-    ArenaVector<LsqEntry> slots_;
+    std::vector<LsqEntry> slots_;
     size_t count_ = 0;
     std::uint64_t next_id_ = 0;
     std::uint64_t first_id_ = 0;
     std::uint64_t next_arrival_id_ = 0;
-    ArenaVector<StoreRec> stores_;
+    std::vector<StoreRec> stores_;
     size_t stores_head_ = 0;
-    ArenaVector<std::uint64_t> pending_stores_;
-    ArenaVector<std::uint64_t> waiting_loads_;
+    std::vector<std::uint64_t> pending_stores_;
+    std::vector<std::uint64_t> waiting_loads_;
     /** Kind-2 waiters, probed by store-buffer pushes (dense; each
      * entry memoizes its slot in mshr_wait_pos). */
-    ArenaVector<MshrWaiter> mshr_waiters_;
+    std::vector<MshrWaiter> mshr_waiters_;
     std::uint32_t wake_events_ = 0;
 };
 
@@ -1058,7 +1058,7 @@ class StoreBuffer
     }
 
     size_t capacity_;
-    ArenaVector<StoreWrite> slots_;
+    std::vector<StoreWrite> slots_;
     size_t head_ = 0;
     size_t count_ = 0;
 };

@@ -17,8 +17,8 @@
 #define GALS_PREDICTOR_HYBRID_PREDICTOR_HH
 
 #include <cstdint>
+#include <vector>
 
-#include "common/arena.hh"
 #include "common/types.hh"
 #include "timing/frequency_model.hh"
 
@@ -96,10 +96,10 @@ class HybridPredictor
     PredictorOrg org_;
     std::uint32_t global_history_ = 0;
 
-    ArenaVector<SaturatingCounter> gshare_bht_;
-    ArenaVector<SaturatingCounter> meta_;
-    ArenaVector<std::uint32_t> local_pht_;
-    ArenaVector<SaturatingCounter> local_bht_;
+    std::vector<SaturatingCounter> gshare_bht_;
+    std::vector<SaturatingCounter> meta_;
+    std::vector<std::uint32_t> local_pht_;
+    std::vector<SaturatingCounter> local_bht_;
 
     mutable std::uint64_t lookups_ = 0;
     std::uint64_t mispredicts_ = 0;

@@ -5,18 +5,15 @@
  * Simulations are independent and deterministic, so running them on a
  * few host threads changes nothing but wall-clock time. Unlike the
  * original spawn-threads-per-call helper, the pool here is persistent:
- *  - worker threads are created once and reused, so each worker's
- *    thread-local arena (common/arena.hh) keeps serving recycled
- *    simulator buffers across the hundreds of runs of a sweep instead
- *    of being torn down with the thread after every parallelFor;
+ *  - worker threads are created once and reused across the hundreds
+ *    of parallelFor calls of a study;
  *  - indices are handed out in chunks, so a 1,024-point sweep costs
  *    ~dozens of atomic operations instead of one per design point.
  *
  * GALS_THREADS caps the worker count (0/unset = hardware concurrency);
  * it is re-read on every call so tests can toggle it with setenv.
  * Nested parallelFor calls (a sweep inside a per-benchmark study task)
- * run inline on the calling worker, which both bounds the thread
- * fan-out and keeps the arena affinity.
+ * run inline on the calling worker, which bounds the thread fan-out.
  *
  * A chip run steps all of its cores on the calling thread; chip
  * sweeps get their parallelism from this pool, one chip per index.
