@@ -24,7 +24,6 @@
 #include "cmp/chip.hh"
 #include "obs/trace.hh"
 #include "sim/result_store.hh"
-#include "sim/shard.hh"
 #include "sim/simulation.hh"
 #include "sim/sweep.hh"
 #include "workload/suite.hh"
@@ -49,8 +48,8 @@ namespace
  * introduced with cross-core L1 coherence in PR 7, same policy;
  * cmp8 (an eight-core multiprogrammed chip) was introduced with the
  * many-core scale-up in PR 9, same policy; sweep_warm (a 64-point
- * adaptive sweep served entirely from the content-addressed result
- * store — metric is the warm-cache *equivalent* committed
+ * slice at introduction, now the whole 256-point adaptive sweep,
+ * served entirely from the content-addressed result store — metric is the warm-cache *equivalent* committed
  * instructions per second, i.e. the simulation work a hit avoids, so
  * it gates record lookup + deserialization throughput) was
  * introduced with the result store in PR 8, same policy. The
@@ -232,9 +231,9 @@ measureCmpItemsPerSec(int cores,
 }
 
 /**
- * Warm-cache equivalent committed instructions per CPU-second: a
- * 64-point slice of the adaptive sweep is prefilled into a result
- * store once (cold, untimed), then swept repeatedly warm. Each warm
+ * Warm-cache equivalent committed instructions per CPU-second: the
+ * 256-point adaptive sweep is prefilled into a result store once
+ * (cold, untimed), then swept repeatedly warm. Each warm
  * point is one record lookup + RunStats deserialization standing in
  * for (sim+warmup) instructions of simulation, so the column tracks
  * the store's hit path; a regression here means lookups got slower.
@@ -252,16 +251,15 @@ measureWarmSweepItemsPerSec()
     WorkloadParams wl = benchWorkload();
     wl.sim_instrs = 4'000;
     wl.warmup_instrs = 800;
-    const ShardSpec shard{0, 4}; // 64 of the 256 adaptive points.
-    sweepAdaptiveRaw(wl, shard); // cold prefill (untimed).
+    sweepAdaptiveRaw(wl); // cold prefill (untimed).
 
     const std::uint64_t per_sweep =
-        64 * (wl.sim_instrs + wl.warmup_instrs);
+        allAdaptiveConfigs().size() * (wl.sim_instrs + wl.warmup_instrs);
     std::uint64_t instrs = 0;
     double elapsed = 0.0;
     double t0 = cpuSeconds();
     do {
-        auto rows = sweepAdaptiveRaw(wl, shard);
+        auto rows = sweepAdaptiveRaw(wl);
         benchmark::DoNotOptimize(rows.data());
         instrs += per_sweep;
         elapsed = cpuSeconds() - t0;

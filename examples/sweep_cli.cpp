@@ -1,40 +1,35 @@
 /**
  * @file
- * Sharded design-space sweep driver.
+ * Design-space sweep driver.
  *
- * One process computes one shard of a sweep and writes its rows as
- * line-oriented JSON; `scripts/sweep_shard.py` fans N such processes
- * out (across cores or hosts) and merges the outputs byte-exactly
- * into what an unsharded run would have written (sim/shard.hh).
+ * Runs one sweep on the in-process pool (sim/parallel.hh, capped by
+ * GALS_THREADS) and writes its rows as line-oriented JSON.
  *
  * Usage:
- *   sweep_cli [--mode study|sync|adaptive|cmp] [--shard i/n]
- *             [--out FILE] [--benchmarks N] [--bench NAME]
- *             [--cores LIST] [--sim INSTRS] [--warmup INSTRS]
- *             [--cache-dir DIR] [--resume] [--full] [--verbose]
- *   sweep_cli --merge OUT IN1 IN2 ...
+ *   sweep_cli [--mode study|sync|adaptive|cmp] [--out FILE]
+ *             [--benchmarks N] [--bench NAME] [--cores LIST]
+ *             [--sim INSTRS] [--warmup INSTRS] [--cache-dir DIR]
+ *             [--resume] [--full] [--verbose]
  *
  * `--mode adaptive` runs the 256-point exhaustive Program-Adaptive
- * sweep for one benchmark (`--bench`, default the suite's first),
- * sharded over the configuration points.
+ * sweep for one benchmark (`--bench`, default the suite's first).
  *
  * `--mode cmp` runs the multiprogrammed chip-multiprocessor sweep:
- * one chip per (core count, suite rotation) pair, sharded over those
- * points. `--cores` is a comma-separated core-count list (default
- * "1,2,4,8,16" — the power-of-two ladder up to kMaxCores).
+ * one chip per (core count, suite rotation) pair. `--cores` is a
+ * comma-separated core-count list (default "1,2,4,8,16" — the
+ * power-of-two ladder up to kMaxCores).
  *
- * `--shard` falls back to the GALS_SHARDS environment variable
- * ("i/n"); unset means the whole sweep. `--benchmarks N` restricts
- * the suite to its first N entries and `--sim/--warmup` shrink the
- * measured window (defaults keep the suite's own windows) — both are
- * deterministic, so sharded and unsharded runs stay comparable.
+ * `--benchmarks N` restricts the suite to its first N entries and
+ * `--sim/--warmup` shrink the measured window (defaults keep the
+ * suite's own windows). `--out FILE` is opened before any simulation,
+ * so an unwritable path fails at once instead of after the sweep.
  *
  * `--cache-dir DIR` enables the content-addressed result store
  * (sim/result_store.hh) on DIR, overriding GALS_RESULT_CACHE:
- * previously computed points — by any earlier run, shard or code
+ * previously computed points — by any earlier run or code
  * version-compatible PR — are served from the store, and each fresh
  * point is checkpointed there the moment it completes, so a killed
- * shard resumes instead of recomputing. Cached rows are value-exact,
+ * run resumes instead of recomputing. Cached rows are value-exact,
  * so output stays byte-identical to a cache-off run. A stats line
  * ("result-store: H hits, M misses ...") goes to stderr when the
  * store is active. `--resume` is an explicit resume request: it
@@ -58,7 +53,6 @@
 #include "obs/trace.hh"
 #include "sim/report.hh"
 #include "sim/result_store.hh"
-#include "sim/shard.hh"
 #include "sim/study.hh"
 #include "sim/sweep.hh"
 #include "workload/suite.hh"
@@ -74,34 +68,13 @@ usage()
     std::fprintf(
         stderr,
         "usage: sweep_cli [--mode study|sync|adaptive|cmp]\n"
-        "                 [--shard i/n] [--out FILE]\n"
+        "                 [--out FILE]\n"
         "                 [--benchmarks N] [--bench NAME]\n"
         "                 [--cores LIST] [--sim INSTRS]\n"
         "                 [--warmup INSTRS] [--cache-dir DIR]\n"
         "                 [--trace-out FILE] [--metrics-out FILE]\n"
-        "                 [--resume] [--full] [--verbose]\n"
-        "       sweep_cli --merge OUT IN1 IN2 ...\n");
+        "                 [--resume] [--full] [--verbose]\n");
     return 2;
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        panic("cannot read '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-void
-writeFile(const std::string &path, const std::string &text)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        panic("cannot write '%s'", path.c_str());
-    out << text;
 }
 
 /** Parse a comma-separated core-count list ("1,2,4"); a bad item
@@ -135,7 +108,6 @@ main(int argc, char **argv)
     std::string cache_dir;
     std::string trace_out;
     std::string metrics_out;
-    ShardSpec shard = shardFromEnv();
     size_t benchmarks = 0; // 0 = whole suite.
     std::uint64_t sim_instrs = 0;
     std::uint64_t warmup_instrs = ~0ULL;
@@ -153,25 +125,8 @@ main(int argc, char **argv)
             }
             return argv[++a];
         };
-        if (arg == "--merge") {
-            // --merge OUT IN1 IN2 ...
-            if (a + 2 >= argc)
-                return usage();
-            std::string merged_path = argv[a + 1];
-            std::vector<std::string> inputs;
-            for (int k = a + 2; k < argc; ++k)
-                inputs.push_back(readFile(argv[k]));
-            writeFile(merged_path, mergeShardJson(inputs));
-            std::printf("merged %zu shards into %s\n", inputs.size(),
-                        merged_path.c_str());
-            return 0;
-        } else if (arg == "--mode") {
+        if (arg == "--mode") {
             mode = value();
-        } else if (arg == "--shard") {
-            if (!parseShard(value(), shard)) {
-                std::fprintf(stderr, "bad --shard (want i/n)\n");
-                return 2;
-            }
         } else if (arg == "--out") {
             out_path = value();
         } else if (arg == "--benchmarks") {
@@ -205,6 +160,15 @@ main(int argc, char **argv)
         }
     }
 
+    // Open --out before simulating anything: a bad path is a user
+    // error that must not cost a whole sweep first.
+    std::ofstream out_file;
+    if (!out_path.empty()) {
+        out_file.open(out_path, std::ios::binary);
+        if (!out_file)
+            fatal("cannot write '%s'", out_path.c_str());
+    }
+
     // --cache-dir overrides GALS_RESULT_CACHE; either enables the
     // content-addressed result store for every leaf simulation below.
     if (!cache_dir.empty())
@@ -231,17 +195,14 @@ main(int argc, char **argv)
 
     std::string json;
     if (mode == "study") {
-        StudyResult study =
-            runStudy(suite, sweepModeFromEnv(), verbose, shard);
-        json = studyShardJson(study, shard);
+        json = studyJson(runStudy(suite, sweepModeFromEnv(), verbose));
     } else if (mode == "sync") {
-        std::vector<SyncPointRuntimes> rows =
-            sweepSynchronousRaw(suite, full, shard);
-        json = syncSweepShardJson(rows, suite.size(), full, shard);
+        json = syncSweepJson(sweepSynchronousRaw(suite, full),
+                             suite.size(), full);
     } else if (mode == "adaptive") {
-        // One benchmark, sharded over the 256 adaptive configuration
-        // points (the suite restrictions/window overrides above apply
-        // to it like to any other sweep).
+        // One benchmark over the 256 adaptive configuration points
+        // (the suite restrictions/window overrides above apply to it
+        // like to any other sweep).
         WorkloadParams wl = suite.front();
         if (!bench.empty()) {
             wl = findBenchmark(bench);
@@ -250,17 +211,14 @@ main(int argc, char **argv)
             if (warmup_instrs != ~0ULL)
                 wl.warmup_instrs = warmup_instrs;
         }
-        std::vector<AdaptivePointRuntime> rows =
-            sweepAdaptiveRaw(wl, shard);
-        json = adaptiveSweepShardJson(rows, wl.name, shard);
+        json = adaptiveSweepJson(sweepAdaptiveRaw(wl), wl.name);
     } else if (mode == "cmp") {
         std::vector<int> core_counts = parseCoreList(cores);
         std::vector<CmpPointResult> rows =
-            sweepCmpRaw(suite, core_counts, shard);
-        if (verbose && !shard.sharded())
+            sweepCmpRaw(suite, core_counts);
+        if (verbose)
             std::fputs(renderCmpSummary(rows).c_str(), stdout);
-        json = cmpSweepShardJson(rows, suite.size(), core_counts,
-                                 shard);
+        json = cmpSweepJson(rows, suite.size(), core_counts);
     } else {
         return usage();
     }
@@ -268,9 +226,10 @@ main(int argc, char **argv)
     if (out_path.empty()) {
         std::fputs(json.c_str(), stdout);
     } else {
-        writeFile(out_path, json);
-        std::printf("shard %d/%d -> %s\n", shard.index, shard.count,
-                    out_path.c_str());
+        out_file << json;
+        if (!out_file.flush())
+            fatal("cannot write '%s'", out_path.c_str());
+        std::printf("wrote %s\n", out_path.c_str());
     }
 
     // Hit/miss telemetry on stderr (stdout carries the JSON): the CI

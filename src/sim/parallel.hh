@@ -278,31 +278,6 @@ parallelFor(size_t count, Fn fn, unsigned max_threads = 0)
     detail::SweepPool::instance().run(count, erased, n);
 }
 
-/**
- * Invoke fn(i) in parallel for every i in [0, count) owned by
- * `shard` (round-robin partition, sim/shard.hh): the in-process pool
- * covers one host's cores, the shard covers this process's slice of
- * a multi-process sweep. `shard.count == 1` degenerates to
- * parallelFor over every index.
- */
-template <typename Shard, typename Fn>
-void
-parallelForShard(size_t count, const Shard &shard, Fn fn,
-                 unsigned max_threads = 0)
-{
-    if (count == 0)
-        return;
-    // Owned indices are shard.index, shard.index + count_, ...:
-    // enumerate them densely so pool chunking stays balanced.
-    size_t stride = static_cast<size_t>(shard.count);
-    size_t first = static_cast<size_t>(shard.index);
-    size_t owned =
-        first < count ? (count - first + stride - 1) / stride : 0;
-    parallelFor(
-        owned, [&](size_t k) { fn(first + k * stride); },
-        max_threads);
-}
-
 } // namespace gals
 
 #endif // GALS_SIM_PARALLEL_HH

@@ -8,21 +8,8 @@
 namespace gals
 {
 
-namespace
-{
-
-/** The shard header line shared by every sweep JSON document. */
 std::string
-shardLine(ShardSpec shard)
-{
-    return csprintf("  \"shard\": {\"index\": %d, \"count\": %d},\n",
-                    shard.index, shard.count);
-}
-
-} // namespace
-
-std::string
-studyShardJson(const StudyResult &study, ShardSpec shard)
+studyJson(const StudyResult &study)
 {
     std::string out = "{\n";
     out += "  \"sweep\": \"study\",\n";
@@ -31,45 +18,37 @@ studyShardJson(const StudyResult &study, ShardSpec shard)
                                                         : "staged");
     out += csprintf("  \"benchmarks\": %zu,\n",
                     study.benchmarks.size());
-    out += shardLine(shard);
     out += "  \"rows\": [\n";
-    std::vector<std::string> lines;
     for (size_t i = 0; i < study.benchmarks.size(); ++i) {
-        if (!shard.owns(i))
-            continue;
         const BenchmarkResult &r = study.benchmarks[i];
-        lines.push_back(csprintf(
+        out += csprintf(
             "    {\"index\": %zu, \"name\": \"%s\", \"suite\": "
             "\"%s\", \"sync_ns\": %.17g, \"program_ns\": %.17g, "
             "\"phase_ns\": %.17g, \"cfg\": \"%s\", \"runs\": %llu}",
             i, r.name.c_str(), r.suite.c_str(), r.sync_ns,
             r.program_ns, r.phase_ns, r.program_cfg.str().c_str(),
-            static_cast<unsigned long long>(r.runs)));
-    }
-    for (size_t k = 0; k < lines.size(); ++k) {
-        out += lines[k];
-        out += k + 1 < lines.size() ? ",\n" : "\n";
+            static_cast<unsigned long long>(r.runs));
+        out += i + 1 < study.benchmarks.size() ? ",\n" : "\n";
     }
     out += "  ]\n}\n";
     return out;
 }
 
 std::string
-syncSweepShardJson(const std::vector<SyncPointRuntimes> &rows,
-                   size_t suite_size, bool full, ShardSpec shard)
+syncSweepJson(const std::vector<SyncPointRuntimes> &rows,
+              size_t suite_size, bool full)
 {
     std::string out = "{\n";
     out += "  \"sweep\": \"synchronous\",\n";
     out += csprintf("  \"full\": %s,\n", full ? "true" : "false");
     out += csprintf("  \"benchmarks\": %zu,\n", suite_size);
-    out += shardLine(shard);
     out += "  \"rows\": [\n";
     for (size_t k = 0; k < rows.size(); ++k) {
         const SyncPointRuntimes &r = rows[k];
         out += csprintf("    {\"index\": %zu, \"icache_opt\": %d, "
                         "\"dcache\": %d, \"iq_int\": %d, "
                         "\"iq_fp\": %d, \"runtime_ns\": [",
-                        r.point_index, r.icache_opt, r.dcache,
+                        k, r.icache_opt, r.dcache,
                         r.iq_int, r.iq_fp);
         for (size_t b = 0; b < r.runtime_ns.size(); ++b) {
             out += csprintf("%s%.17g", b == 0 ? "" : ", ",
@@ -82,21 +61,20 @@ syncSweepShardJson(const std::vector<SyncPointRuntimes> &rows,
 }
 
 std::string
-adaptiveSweepShardJson(const std::vector<AdaptivePointRuntime> &rows,
-                       const std::string &benchmark, ShardSpec shard)
+adaptiveSweepJson(const std::vector<AdaptivePointRuntime> &rows,
+                  const std::string &benchmark)
 {
     std::string out = "{\n";
     out += "  \"sweep\": \"adaptive\",\n";
     out += csprintf("  \"benchmark\": \"%s\",\n", benchmark.c_str());
     out += csprintf("  \"points\": %zu,\n",
                     allAdaptiveConfigs().size());
-    out += shardLine(shard);
     out += "  \"rows\": [\n";
     for (size_t k = 0; k < rows.size(); ++k) {
         const AdaptivePointRuntime &r = rows[k];
         out += csprintf("    {\"index\": %zu, \"cfg\": \"%s\", "
                         "\"runtime_ns\": %.17g}%s\n",
-                        r.point_index, r.cfg.str().c_str(),
+                        k, r.cfg.str().c_str(),
                         r.runtime_ns,
                         k + 1 < rows.size() ? "," : "");
     }
@@ -105,9 +83,8 @@ adaptiveSweepShardJson(const std::vector<AdaptivePointRuntime> &rows,
 }
 
 std::string
-cmpSweepShardJson(const std::vector<CmpPointResult> &rows,
-                  size_t suite_size,
-                  const std::vector<int> &core_counts, ShardSpec shard)
+cmpSweepJson(const std::vector<CmpPointResult> &rows, size_t suite_size,
+             const std::vector<int> &core_counts)
 {
     std::string out = "{\n";
     out += "  \"sweep\": \"cmp\",\n";
@@ -117,7 +94,6 @@ cmpSweepShardJson(const std::vector<CmpPointResult> &rows,
         out += csprintf("%s%d", i == 0 ? "" : ", ", core_counts[i]);
     }
     out += "],\n";
-    out += shardLine(shard);
     out += "  \"rows\": [\n";
     for (size_t k = 0; k < rows.size(); ++k) {
         const CmpPointResult &r = rows[k];
@@ -125,7 +101,7 @@ cmpSweepShardJson(const std::vector<CmpPointResult> &rows,
                         "\"rotation\": %d, \"chip_ns\": %.17g, "
                         "\"l2_misses\": %llu, "
                         "\"bank_conflicts\": %llu, \"core_ns\": [",
-                        r.point_index, r.cores, r.rotation, r.chip_ns,
+                        k, r.cores, r.rotation, r.chip_ns,
                         static_cast<unsigned long long>(r.l2_misses),
                         static_cast<unsigned long long>(
                             r.bank_conflicts));

@@ -33,33 +33,29 @@ std::string renderReconfigTrace(const std::string &title,
                                 const std::vector<std::string> &labels);
 
 /**
- * Line-oriented JSON for a (possibly shard-restricted) study run:
- * one `"rows"` element per owned benchmark, tagged with its suite
- * index. Shard documents with matching headers merge byte-exactly
- * via mergeShardJson (sim/shard.hh).
+ * Line-oriented JSON for a study run: one `"rows"` element per line,
+ * tagged with its suite index. Doubles print with %.17g, so a run
+ * served from the result store writes the same bytes as a cold one.
  */
-std::string studyShardJson(const StudyResult &study, ShardSpec shard);
+std::string studyJson(const StudyResult &study);
 
-/** Same contract for the raw synchronous design-point sweep. */
-std::string syncSweepShardJson(
-    const std::vector<SyncPointRuntimes> &rows, size_t suite_size,
-    bool full, ShardSpec shard);
+/** Same format for the raw synchronous design-point sweep. */
+std::string syncSweepJson(const std::vector<SyncPointRuntimes> &rows,
+                          size_t suite_size, bool full);
 
-/** Same contract for the 256-point exhaustive Program-Adaptive sweep
+/** Same format for the 256-point exhaustive Program-Adaptive sweep
  * of one benchmark. */
-std::string adaptiveSweepShardJson(
+std::string adaptiveSweepJson(
     const std::vector<AdaptivePointRuntime> &rows,
-    const std::string &benchmark, ShardSpec shard);
+    const std::string &benchmark);
 
-/** Same contract for the multiprogrammed CMP sweep (`core_counts`
- * belongs to the header: shards of one sweep must agree on it). */
-std::string cmpSweepShardJson(const std::vector<CmpPointResult> &rows,
-                              size_t suite_size,
-                              const std::vector<int> &core_counts,
-                              ShardSpec shard);
+/** Same format for the multiprogrammed CMP sweep. */
+std::string cmpSweepJson(const std::vector<CmpPointResult> &rows,
+                         size_t suite_size,
+                         const std::vector<int> &core_counts);
 
-/** Chip-level scaling table of a (merged) CMP sweep: per core count,
- * average makespan and interconnect pressure across rotations. */
+/** Chip-level scaling table of a CMP sweep: per core count, average
+ * makespan and interconnect pressure across rotations. */
 std::string renderCmpSummary(const std::vector<CmpPointResult> &rows);
 
 } // namespace gals

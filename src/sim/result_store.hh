@@ -9,13 +9,13 @@
  * memoizes those leaf simulations on disk: a result is keyed by a
  * stable hash of the canonically serialized configuration tuple plus
  * a simulator code-version tag, so any point computed before — by an
- * earlier run, another shard, or a previous PR within the same code
- * version — becomes a cache hit that skips simulation entirely.
+ * earlier run, another process, or a previous PR within the same
+ * code version — becomes a cache hit that skips simulation entirely.
  * Because each completed point is persisted immediately, a killed
- * `sweep_cli --shard` run resumes from the store instead of
- * recomputing, and a merge can assemble a full result from a mix of
- * fresh and cached rows (rows are value-exact, so the JSON stays
- * byte-identical to a cache-off run).
+ * `sweep_cli --cache-dir` run resumes from the store instead of
+ * recomputing, assembling its result from a mix of fresh and cached
+ * rows (rows are value-exact, so the JSON stays byte-identical to a
+ * cache-off run).
  *
  * Safety is by construction, not by trust:
  *  - records carry a magic, the code-version tag, the full key text

@@ -73,13 +73,6 @@ StudyResult
 runStudy(const std::vector<WorkloadParams> &suite, SweepMode mode,
          bool verbose)
 {
-    return runStudy(suite, mode, verbose, ShardSpec{});
-}
-
-StudyResult
-runStudy(const std::vector<WorkloadParams> &suite, SweepMode mode,
-         bool verbose, ShardSpec shard)
-{
     StudyResult out;
     out.mode = mode;
     out.benchmarks.resize(suite.size());
@@ -87,11 +80,11 @@ runStudy(const std::vector<WorkloadParams> &suite, SweepMode mode,
     MachineConfig sync = MachineConfig::bestSynchronous();
     MachineConfig phase = MachineConfig::mcdPhaseAdaptive();
 
-    // Parallel across this shard's benchmarks; the per-benchmark
-    // sweep inside findBestAdaptive stays serial to bound thread
-    // fan-out. Each row is a deterministic function of its benchmark
-    // alone, so shard boundaries never change any value.
-    parallelForShard(suite.size(), shard, [&](size_t i) {
+    // Parallel across benchmarks; the per-benchmark sweep inside
+    // findBestAdaptive stays serial to bound thread fan-out. Each row
+    // is a deterministic function of its benchmark alone, so the
+    // thread count never changes any value.
+    parallelFor(suite.size(), [&](size_t i) {
         const WorkloadParams &wl = suite[i];
         BenchmarkResult r;
         r.name = wl.name;
@@ -112,10 +105,7 @@ runStudy(const std::vector<WorkloadParams> &suite, SweepMode mode,
         out.benchmarks[i] = std::move(r);
     });
 
-    for (size_t i = 0; i < suite.size(); ++i) {
-        if (!shard.owns(i))
-            continue;
-        const BenchmarkResult &r = out.benchmarks[i];
+    for (const BenchmarkResult &r : out.benchmarks) {
         out.total_runs += r.runs;
         if (verbose) {
             inform("%-18s sync %9.0fns  program %9.0fns (%+5.1f%%, %s)"

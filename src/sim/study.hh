@@ -15,7 +15,6 @@
 
 #include "core/machine_config.hh"
 #include "core/run_stats.hh"
-#include "sim/shard.hh"
 #include "sim/sweep.hh"
 #include "workload/params.hh"
 
@@ -79,16 +78,6 @@ struct StudyResult
  */
 StudyResult runStudy(const std::vector<WorkloadParams> &suite,
                      SweepMode mode, bool verbose);
-
-/**
- * Shard-restricted study: simulate only the benchmarks `shard` owns
- * (the benchmark is the shard unit; round-robin on its suite index).
- * `benchmarks` keeps the full suite size, with unowned rows left
- * default-constructed — per-row values are identical to the unsharded
- * run's, which is what makes the JSON merge byte-exact.
- */
-StudyResult runStudy(const std::vector<WorkloadParams> &suite,
-                     SweepMode mode, bool verbose, ShardSpec shard);
 
 } // namespace gals
 

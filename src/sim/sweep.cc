@@ -75,24 +75,12 @@ exhaustiveSearch(const WorkloadParams &wl)
 } // namespace
 
 std::vector<AdaptivePointRuntime>
-sweepAdaptiveRaw(const WorkloadParams &wl, ShardSpec shard)
+sweepAdaptiveRaw(const WorkloadParams &wl)
 {
-    std::vector<AdaptiveConfig> configs = allAdaptiveConfigs();
-
-    // The configuration is the shard unit; owned rows keep their
-    // global point index so merged shard documents reassemble in
-    // enumeration order.
     std::vector<AdaptivePointRuntime> out;
-    for (size_t p = 0; p < configs.size(); ++p) {
-        if (!shard.owns(p))
-            continue;
-        out.push_back(AdaptivePointRuntime{p, configs[p], 0.0});
-    }
+    for (const AdaptiveConfig &cfg : allAdaptiveConfigs())
+        out.push_back(AdaptivePointRuntime{cfg, 0.0});
 
-    // Every run is a deterministic function of (config, benchmark)
-    // alone — neither the thread count nor the shard boundary changes
-    // any value, which is what makes merged shard output
-    // byte-identical to an unsharded sweep.
     parallelFor(out.size(), [&](size_t i) {
         out[i].runtime_ns =
             runtimeNs(runAdaptive(wl, out[i].cfg));
@@ -160,7 +148,7 @@ findBestAdaptive(const WorkloadParams &wl, SweepMode mode)
 
 std::vector<SyncPointRuntimes>
 sweepSynchronousRaw(const std::vector<WorkloadParams> &suite,
-                    bool full, ShardSpec shard)
+                    bool full)
 {
     GALS_ASSERT(!suite.empty(), "empty suite for synchronous sweep");
 
@@ -181,21 +169,15 @@ sweepSynchronousRaw(const std::vector<WorkloadParams> &suite,
                 points.push_back(Point{ic, dc, 0, 0});
     }
 
-    // The design point is the shard unit: every benchmark of an
-    // owned point runs in this process.
     std::vector<SyncPointRuntimes> out;
-    for (size_t p = 0; p < points.size(); ++p) {
-        if (!shard.owns(p))
-            continue;
+    for (const Point &p : points) {
         out.push_back(SyncPointRuntimes{
-            p, points[p].ic, points[p].dc, points[p].qi,
-            points[p].qf, std::vector<double>(suite.size(), 0.0)});
+            p.ic, p.dc, p.qi, p.qf,
+            std::vector<double>(suite.size(), 0.0)});
     }
 
-    // Every (point, bench) run is deterministic and independent:
-    // neither the thread count nor the shard boundary changes any
-    // value, which is what makes merged shard output byte-identical
-    // to an unsharded sweep.
+    // Every (point, bench) run is deterministic and independent, so
+    // the thread count never changes any value.
     parallelFor(out.size() * suite.size(), [&](size_t k) {
         size_t r = k / suite.size();
         size_t b = k % suite.size();
@@ -209,7 +191,7 @@ sweepSynchronousRaw(const std::vector<WorkloadParams> &suite,
 
 std::vector<CmpPointResult>
 sweepCmpRaw(const std::vector<WorkloadParams> &suite,
-            const std::vector<int> &core_counts, ShardSpec shard)
+            const std::vector<int> &core_counts)
 {
     GALS_ASSERT(!suite.empty(), "empty suite for CMP sweep");
     GALS_ASSERT(!core_counts.empty(), "CMP sweep needs core counts");
@@ -219,24 +201,18 @@ sweepCmpRaw(const std::vector<WorkloadParams> &suite,
                     kMaxCores);
     }
 
-    // The (core count, rotation) pair is the shard unit.
-    const size_t rotations = suite.size();
     std::vector<CmpPointResult> out;
-    for (size_t ci = 0; ci < core_counts.size(); ++ci) {
-        for (size_t rot = 0; rot < rotations; ++rot) {
-            size_t p = ci * rotations + rot;
-            if (!shard.owns(p))
-                continue;
+    for (int cores : core_counts) {
+        for (size_t rot = 0; rot < suite.size(); ++rot) {
             CmpPointResult row;
-            row.point_index = p;
-            row.cores = core_counts[ci];
+            row.cores = cores;
             row.rotation = static_cast<int>(rot);
             out.push_back(std::move(row));
         }
     }
 
-    // Every chip run is deterministic and independent of thread and
-    // shard boundaries (same contract as the other raw sweeps).
+    // Every chip run is deterministic and independent of the thread
+    // count (same contract as the other raw sweeps).
     parallelFor(out.size(), [&](size_t k) {
         CmpPointResult &row = out[k];
         ChipConfig cc;
@@ -261,7 +237,7 @@ std::vector<SyncDesignPoint>
 sweepSynchronous(const std::vector<WorkloadParams> &suite, bool full)
 {
     std::vector<SyncPointRuntimes> raw =
-        sweepSynchronousRaw(suite, full, ShardSpec{});
+        sweepSynchronousRaw(suite, full);
 
     // Per-benchmark best for normalization.
     std::vector<double> best_per_bench(suite.size(), 0.0);

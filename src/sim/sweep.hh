@@ -20,7 +20,6 @@
 
 #include "core/machine_config.hh"
 #include "core/run_stats.hh"
-#include "sim/shard.hh"
 #include "workload/params.hh"
 
 namespace gals
@@ -83,14 +82,11 @@ std::vector<SyncDesignPoint>
 sweepSynchronous(const std::vector<WorkloadParams> &suite, bool full);
 
 /**
- * One synchronous design point with its raw per-benchmark runtimes —
- * the shardable unit of the synchronous sweep. Normalization needs
- * every point, so sharded runs exchange raw runtimes and the merge
- * (or a post-pass over the merged rows) normalizes.
+ * One synchronous design point with its raw per-benchmark runtimes,
+ * before sweepSynchronous normalizes across points.
  */
 struct SyncPointRuntimes
 {
-    std::size_t point_index = 0; //!< global sweep index (shard key).
     int icache_opt = 0;
     int dcache = 0;
     int iq_int = 0;
@@ -99,48 +95,39 @@ struct SyncPointRuntimes
 };
 
 /**
- * The raw synchronous sweep, restricted to the design points owned
- * by `shard` (round-robin on the point index). Rows come back in
- * global point order and are byte-for-byte the rows the unsharded
- * run computes: every simulation is deterministic per design point,
- * so shard boundaries never change any value.
+ * The raw synchronous sweep: one row per design point, in sweep
+ * order. Every simulation is deterministic per (point, benchmark),
+ * so the thread count never changes any value.
  */
 std::vector<SyncPointRuntimes>
 sweepSynchronousRaw(const std::vector<WorkloadParams> &suite,
-                    bool full, ShardSpec shard = {});
+                    bool full);
 
-/**
- * One point of the 256-configuration exhaustive Program-Adaptive
- * sweep — the shardable unit of findBestAdaptive's exhaustive mode.
- */
+/** One point of the 256-configuration exhaustive Program-Adaptive
+ * sweep. */
 struct AdaptivePointRuntime
 {
-    std::size_t point_index = 0; //!< allAdaptiveConfigs index.
     AdaptiveConfig cfg;
     double runtime_ns = 0.0;
 };
 
 /**
- * The raw exhaustive Program-Adaptive sweep for one benchmark,
- * restricted to the configurations owned by `shard` (round-robin on
- * the point index, like the synchronous sweep). Rows come back in
- * global point order and are byte-for-byte the rows the unsharded
- * run computes; the argmin over the merged rows is exactly
- * findBestAdaptive(wl, SweepMode::Exhaustive)'s choice (ties resolve
- * to the lowest point index in both).
+ * The raw exhaustive Program-Adaptive sweep for one benchmark: one
+ * row per allAdaptiveConfigs() entry, in that order. The argmin over
+ * the rows is exactly findBestAdaptive(wl, SweepMode::Exhaustive)'s
+ * choice (ties resolve to the lowest point index in both).
  */
 std::vector<AdaptivePointRuntime>
-sweepAdaptiveRaw(const WorkloadParams &wl, ShardSpec shard = {});
+sweepAdaptiveRaw(const WorkloadParams &wl);
 
 /**
  * One point of the chip-multiprocessor sweep: a core count x suite
  * rotation, run as one multiprogrammed chip (multiprogrammedMix
- * fills the cores round-robin from the rotation) — the shardable
- * unit of `sweep_cli --mode cmp`.
+ * fills the cores round-robin from the rotation) — the unit of
+ * `sweep_cli --mode cmp`.
  */
 struct CmpPointResult
 {
-    std::size_t point_index = 0;
     int cores = 1;
     int rotation = 0; //!< suite index the mix starts at.
     /** Chip makespan (longest per-core window), ns. */
@@ -155,15 +142,12 @@ struct CmpPointResult
 /**
  * The raw multiprogrammed CMP sweep over `suite`: one chip run per
  * (core count, rotation) pair, core counts from `core_counts`,
- * rotations over the whole suite, restricted to the points owned by
- * `shard` (round-robin on the point index). Every chip run is a
- * deterministic function of its point alone, so sharded rows are
- * byte-for-byte the unsharded rows — the same merge contract as the
- * other sweeps.
+ * rotations over the whole suite, in that nesting order. Every chip
+ * run is a deterministic function of its point alone.
  */
 std::vector<CmpPointResult>
 sweepCmpRaw(const std::vector<WorkloadParams> &suite,
-            const std::vector<int> &core_counts, ShardSpec shard = {});
+            const std::vector<int> &core_counts);
 
 } // namespace gals
 

@@ -24,12 +24,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+
 #include "cache/accounting_cache.hh"
 #include "cache/shared_l2.hh"
 #include "cmp/chip.hh"
 #include "harness.hh"
 #include "sim/report.hh"
-#include "sim/shard.hh"
+#include "sim/result_store.hh"
 #include "sim/sweep.hh"
 #include "timing/frequency_model.hh"
 #include "workload/generator.hh"
@@ -387,10 +391,10 @@ TEST(CmpDifferential, ChipRunsAreDeterministic)
 }
 
 // ---------------------------------------------------------------------
-// CMP sweep: sharding merges byte-identically.
+// CMP sweep: rows served from the result store are byte-identical.
 // ---------------------------------------------------------------------
 
-TEST(CmpSweep, ShardedRunsMergeByteIdentical)
+TEST(CmpSweep, WarmRunIsByteIdenticalToCacheOff)
 {
     std::vector<WorkloadParams> suite(benchmarkSuite().begin(),
                                       benchmarkSuite().begin() + 3);
@@ -400,18 +404,30 @@ TEST(CmpSweep, ShardedRunsMergeByteIdentical)
     }
     const std::vector<int> core_counts = {1, 2};
 
-    std::string unsharded = cmpSweepShardJson(
-        sweepCmpRaw(suite, core_counts), suite.size(), core_counts,
-        ShardSpec{});
+    auto sweepJson = [&] {
+        return cmpSweepJson(sweepCmpRaw(suite, core_counts),
+                            suite.size(), core_counts);
+    };
+    std::string off = sweepJson();
 
-    std::vector<std::string> shards;
-    for (int i = 0; i < 3; ++i) {
-        ShardSpec spec{i, 3};
-        shards.push_back(cmpSweepShardJson(
-            sweepCmpRaw(suite, core_counts, spec), suite.size(),
-            core_counts, spec));
-    }
-    EXPECT_EQ(mergeShardJson(shards), unsharded);
+    // Cold then warm against one store: every ChipRunStats goes
+    // through its key, record and payload decoder.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("gals_cmp_sweep_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    configureResultStore(dir.string());
+    std::string cold = sweepJson();
+    std::string warm = sweepJson();
+    ResultStore::Counters c = resultStore().counters();
+    configureResultStore("");
+    fs::remove_all(dir);
+
+    EXPECT_EQ(cold, off);
+    EXPECT_EQ(warm, off);
+    EXPECT_EQ(c.misses, 6u); // 2 core counts x 3 rotations.
+    EXPECT_EQ(c.hits, 6u);
+    EXPECT_EQ(c.rejects, 0u);
 
     // The summary renders one row per core count.
     std::vector<CmpPointResult> rows = sweepCmpRaw(suite, core_counts);

@@ -433,7 +433,7 @@ TEST_F(ResultStoreTest, ConcurrentThreadWritersStayCorrect)
 TEST_F(ResultStoreTest, ConcurrentProcessWritersStayCorrect)
 {
     // Two child processes race writes of the same keys into one cache
-    // dir (the sweep_shard.py topology). Atomic temp+rename plus
+    // dir (two sweeps sharing one --cache-dir). Atomic temp+rename plus
     // deterministic payloads make last-wins harmless; afterwards every
     // record must be intact and exact.
     configureResultStore(dir_);
@@ -478,29 +478,32 @@ TEST_F(ResultStoreTest, ConcurrentProcessWritersStayCorrect)
     }
 }
 
-TEST_F(ResultStoreTest, ShardResumeAssemblesFreshAndCachedRows)
+TEST_F(ResultStoreTest, ResumeAssemblesFreshAndCachedRows)
 {
-    // A killed shard run resumes from the store: shard 0/2 completes
-    // (cold), then the full sweep reruns — half hits, half fresh —
-    // and the result is byte-identical to a cache-off sweep.
+    // A killed sweep resumes from the store: half of the 256 points
+    // completed (cold) before the kill, then the full sweep reruns —
+    // half hits, half fresh — and the result is byte-identical to a
+    // cache-off sweep.
     WorkloadParams wl = tinyWorkload();
     wl.sim_instrs = 400;
     wl.warmup_instrs = 100;
 
-    std::string off_json = adaptiveSweepShardJson(
-        sweepAdaptiveRaw(wl, ShardSpec{}), wl.name, ShardSpec{});
+    std::string off_json = adaptiveSweepJson(sweepAdaptiveRaw(wl),
+                                             wl.name);
 
     configureResultStore(dir_);
-    sweepAdaptiveRaw(wl, ShardSpec{0, 2}); // the "killed" run's half.
+    std::vector<AdaptiveConfig> configs = allAdaptiveConfigs();
+    for (size_t p = 0; p < configs.size(); p += 2) // the killed run.
+        cachedSimulate(MachineConfig::mcdProgram(configs[p]), wl);
     ResultStore::Counters c = resultStore().counters();
     EXPECT_EQ(c.hits, 0u);
     EXPECT_EQ(c.misses, 128u);
 
-    std::string resumed_json = adaptiveSweepShardJson(
-        sweepAdaptiveRaw(wl, ShardSpec{}), wl.name, ShardSpec{});
+    std::string resumed_json = adaptiveSweepJson(sweepAdaptiveRaw(wl),
+                                                 wl.name);
     c = resultStore().counters();
-    EXPECT_EQ(c.hits, 128u);   // shard 0's rows came from the store,
-    EXPECT_EQ(c.misses, 256u); // shard 1's 128 were computed fresh.
+    EXPECT_EQ(c.hits, 128u);   // the even points came from the store,
+    EXPECT_EQ(c.misses, 256u); // the odd 128 were computed fresh.
     EXPECT_EQ(resumed_json, off_json);
 }
 
@@ -514,17 +517,17 @@ TEST_F(ResultStoreTest, WarmSweepIsByteIdenticalAndFaster)
     wl.sim_instrs = 4'000;
     wl.warmup_instrs = 800;
 
-    std::string off_json = adaptiveSweepShardJson(
-        sweepAdaptiveRaw(wl, ShardSpec{}), wl.name, ShardSpec{});
+    std::string off_json = adaptiveSweepJson(sweepAdaptiveRaw(wl),
+                                             wl.name);
 
     using clock = std::chrono::steady_clock;
     configureResultStore(dir_);
 
     auto t0 = clock::now();
-    sweepAdaptiveRaw(wl, ShardSpec{});
+    sweepAdaptiveRaw(wl);
     auto t1 = clock::now();
-    std::string warm_json = adaptiveSweepShardJson(
-        sweepAdaptiveRaw(wl, ShardSpec{}), wl.name, ShardSpec{});
+    std::string warm_json = adaptiveSweepJson(sweepAdaptiveRaw(wl),
+                                              wl.name);
     auto t2 = clock::now();
 
     EXPECT_EQ(warm_json, off_json);

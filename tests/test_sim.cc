@@ -102,6 +102,28 @@ TEST(Sweep, StagedSearchImprovesOnBase)
     EXPECT_GT(r.best.dcache, 0);
 }
 
+TEST(Sweep, AdaptiveSweepArgminMatchesExhaustiveSearch)
+{
+    // The raw rows are the whole search: their argmin (lowest index
+    // on ties) must be exactly what findBestAdaptive's exhaustive
+    // mode picks.
+    WorkloadParams wl = benchmarkSuite().front();
+    wl.sim_instrs = 400;
+    wl.warmup_instrs = 100;
+
+    std::vector<AdaptivePointRuntime> rows = sweepAdaptiveRaw(wl);
+    ASSERT_EQ(rows.size(), 256u);
+    size_t best = 0;
+    for (size_t i = 1; i < rows.size(); ++i) {
+        if (rows[i].runtime_ns < rows[best].runtime_ns)
+            best = i;
+    }
+    ProgramAdaptiveResult search =
+        findBestAdaptive(wl, SweepMode::Exhaustive);
+    EXPECT_EQ(search.best, rows[best].cfg);
+    EXPECT_EQ(runtimeNs(search.best_stats), rows[best].runtime_ns);
+}
+
 TEST(Sweep, SynchronousSweepRanksAndNormalizes)
 {
     std::vector<WorkloadParams> suite = {shrunk("adpcm encode"),
