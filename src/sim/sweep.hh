@@ -123,7 +123,7 @@ sweepAdaptiveRaw(const WorkloadParams &wl);
 /**
  * One point of the chip-multiprocessor sweep: a core count x suite
  * rotation, run as one multiprogrammed chip (multiprogrammedMix
- * fills the cores round-robin from the rotation) — the unit of
+ * fills the cores round-robin from the rotation) — one row of
  * `sweep_cli --mode cmp`.
  */
 struct CmpPointResult
