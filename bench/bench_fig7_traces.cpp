@@ -18,15 +18,13 @@ namespace
 {
 
 void
-printTrace(const char *bench, Structure s, const char *title,
-           const std::vector<std::string> &labels)
+printTrace(const char *bench, Structure s, const char *title)
 {
     WorkloadParams wl = findBenchmark(bench);
     RunStats stats = simulate(MachineConfig::mcdPhaseAdaptive(), wl);
     std::printf("%s\n",
                 renderReconfigTrace(title, stats.trace, s, 0,
-                                    wl.warmup_instrs + wl.sim_instrs,
-                                    labels)
+                                    wl.warmup_instrs + wl.sim_instrs)
                     .c_str());
     std::printf("  residency (committed instrs per config):");
     const auto &res = s == Structure::DCachePair
@@ -48,14 +46,10 @@ printFigure7()
 
     printTrace("apsi", Structure::DCachePair,
                "(a) apsi D/L2 cache configurations vs committed "
-               "instructions",
-               {"32k1W/256k1W", "64k2W/512k2W", "128k4W/1024k4W",
-                "256k8W/2048k8W"});
+               "instructions");
     printTrace("art", Structure::IntIssueQueue,
                "(b) art integer issue-queue configurations vs "
-               "committed instructions",
-               {"16 entries", "32 entries", "48 entries",
-                "64 entries"});
+               "committed instructions");
 }
 
 void

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/table.hh"
+#include "sim/report.hh"
 #include "sim/simulation.hh"
 #include "timing/frequency_model.hh"
 #include "workload/suite.hh"
@@ -23,8 +24,7 @@ namespace
 
 void
 sweepStructure(const WorkloadParams &wl, const char *title,
-               int AdaptiveConfig::*field,
-               const char *(*label)(int))
+               int AdaptiveConfig::*field, Structure structure)
 {
     TextTable t(title);
     t.setHeader({"config", "domain GHz", "runtime ns", "instr/ns",
@@ -45,7 +45,7 @@ sweepStructure(const WorkloadParams &wl, const char *title,
                 : field == &AdaptiveConfig::iq_int
                       ? DomainId::Integer
                       : DomainId::FloatingPoint;
-        t.addRow({label(idx),
+        t.addRow({configLabel(structure, idx),
                   csprintf("%.3f", m.domainFreqGHz(dom, cfg)),
                   csprintf("%.0f", ns),
                   csprintf("%.2f", s.instrsPerNs()),
@@ -53,29 +53,6 @@ sweepStructure(const WorkloadParams &wl, const char *title,
     }
     t.print();
     std::printf("\n");
-}
-
-const char *
-icacheLabel(int i)
-{
-    static const char *names[] = {"16k1W", "32k2W", "48k3W", "64k4W"};
-    return names[i];
-}
-
-const char *
-dcacheLabel(int i)
-{
-    static const char *names[] = {"32k/256k 1W", "64k/512k 2W",
-                                  "128k/1M 4W", "256k/2M 8W"};
-    return names[i];
-}
-
-const char *
-iqLabel(int i)
-{
-    static const char *names[] = {"16 entries", "32 entries",
-                                  "48 entries", "64 entries"};
-    return names[i];
 }
 
 } // namespace
@@ -90,13 +67,13 @@ main(int argc, char **argv)
                 wl.name.c_str());
 
     sweepStructure(wl, "I-cache / branch predictor (front-end domain)",
-                   &AdaptiveConfig::icache, icacheLabel);
+                   &AdaptiveConfig::icache, Structure::ICache);
     sweepStructure(wl, "L1D/L2 cache pair (load/store domain)",
-                   &AdaptiveConfig::dcache, dcacheLabel);
+                   &AdaptiveConfig::dcache, Structure::DCachePair);
     sweepStructure(wl, "integer issue queue (integer domain)",
-                   &AdaptiveConfig::iq_int, iqLabel);
+                   &AdaptiveConfig::iq_int, Structure::IntIssueQueue);
     sweepStructure(wl, "fp issue queue (floating-point domain)",
-                   &AdaptiveConfig::iq_fp, iqLabel);
+                   &AdaptiveConfig::iq_fp, Structure::FpIssueQueue);
 
     RunStats sync =
         simulate(MachineConfig::bestSynchronous(), wl);

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "sim/report.hh"
 #include "sim/simulation.hh"
@@ -39,30 +40,17 @@ main(int argc, char **argv)
     }
     std::printf("\n");
 
-    std::printf("%s\n",
-                renderReconfigTrace("D/L2 cache configuration",
-                                    s.trace, Structure::DCachePair, 0,
-                                    total,
-                                    {"32k1W/256k1W", "64k2W/512k2W",
-                                     "128k4W/1024k4W",
-                                     "256k8W/2048k8W"})
-                    .c_str());
-    std::printf("%s\n",
-                renderReconfigTrace("I-cache configuration", s.trace,
-                                    Structure::ICache, 0, total,
-                                    {"16k1W", "32k2W", "48k3W",
-                                     "64k4W"})
-                    .c_str());
-    std::printf("%s\n",
-                renderReconfigTrace("integer issue queue", s.trace,
-                                    Structure::IntIssueQueue, 0, total,
-                                    {"16", "32", "48", "64"})
-                    .c_str());
-    std::printf("%s\n",
-                renderReconfigTrace("fp issue queue", s.trace,
-                                    Structure::FpIssueQueue, 0, total,
-                                    {"16", "32", "48", "64"})
-                    .c_str());
+    const std::pair<const char *, Structure> traces[] = {
+        {"D/L2 cache configuration", Structure::DCachePair},
+        {"I-cache configuration", Structure::ICache},
+        {"integer issue queue", Structure::IntIssueQueue},
+        {"fp issue queue", Structure::FpIssueQueue},
+    };
+    for (const auto &[title, structure] : traces) {
+        std::printf("%s\n", renderReconfigTrace(title, s.trace,
+                                                structure, 0, total)
+                                .c_str());
+    }
 
     std::printf("PLL re-locks: %llu, runtime %.0f ns, %.2f instr/ns\n",
                 static_cast<unsigned long long>(s.relocks),

@@ -154,12 +154,6 @@ AccountingCache::access(Addr addr)
     return out;
 }
 
-void
-AccountingCache::invalidateAll()
-{
-    std::fill(valid_.begin(), valid_.end(), 0);
-}
-
 bool
 AccountingCache::invalidate(Addr addr)
 {

@@ -100,9 +100,6 @@ class AccountingCache
      */
     AccessOutcome access(Addr addr);
 
-    /** Drop every block (used on reconfiguration in disabled-B mode). */
-    void invalidateAll();
-
     /**
      * Drop the single block holding `addr`'s line, if present
      * (coherence invalidation). Leaves MRU order untouched: the

@@ -37,9 +37,6 @@ class Pll
     /** True while a re-lock is in flight at time `now`. */
     bool busy(Tick now) const { return now < lock_done_; }
 
-    /** Completion time of the current (or last) re-lock. */
-    Tick lockDone() const { return lock_done_; }
-
     /**
      * Begin a re-lock at `now`; returns its completion time. Must not
      * be called while busy.

@@ -5,7 +5,8 @@
  * Entries carry the absolute time at which they become visible to the
  * consumer (computed with syncVisibleAt at push time). The consumer
  * pops entries only at edges at or after their visibility time, in
- * order. Branch flushes squash entries by predicate.
+ * order. Entries leave only by being consumed: the simulator never
+ * squashes a dispatch FIFO.
  *
  * Capacity is fixed at construction, so storage is a flat ring: no
  * per-push allocation and O(1) head access with plain index
@@ -83,36 +84,6 @@ class SyncFifo
         GALS_ASSERT(count_ != 0, "pop from empty SyncFifo");
         head_ = wrap(head_ + 1);
         --count_;
-    }
-
-    /** Remove every entry matching the predicate (branch squash). */
-    template <typename Pred>
-    size_t
-    squash(Pred pred)
-    {
-        size_t removed = 0;
-        size_t write = head_;
-        size_t n = count_;
-        for (size_t i = 0; i < n; ++i) {
-            size_t read = wrap(head_ + i);
-            if (pred(slots_[read].value)) {
-                ++removed;
-                continue;
-            }
-            if (write != read)
-                slots_[write] = std::move(slots_[read]);
-            write = wrap(write + 1);
-        }
-        count_ -= removed;
-        return removed;
-    }
-
-    /** Drop everything. */
-    void
-    clear()
-    {
-        head_ = 0;
-        count_ = 0;
     }
 
   private:

@@ -139,9 +139,7 @@ class Chip
      * Core::setInvariantCheckInterval). */
     void setInvariantCheckInterval(std::uint32_t every);
 
-    int coreCount() const { return cfg_.cores; }
     Core &core(int i) { return *cores_[static_cast<size_t>(i)]; }
-    const SharedL2 &sharedL2() const { return l2_; }
 
   private:
     ChipConfig cfg_;

@@ -64,9 +64,6 @@ enum class DomainId : std::uint8_t
 
 constexpr int kNumDomains = 4;
 
-/** Printable domain name. */
-const char *domainName(DomainId id);
-
 /** Short domain tag ("fe", "int", "fp", "ls"): trace track and metric
  * name suffix. */
 const char *domainTag(DomainId id);

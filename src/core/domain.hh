@@ -99,9 +99,6 @@ class CoreTiming
         return clocks_[static_cast<size_t>(d)];
     }
 
-    /** True when all domains share one grid (synchronous mode). */
-    bool sameDomain() const { return same_domain_; }
-
     /** When a value produced in `prod` is usable in `cons`. */
     Tick
     visibleAt(Tick produced, DomainId prod, DomainId cons) const

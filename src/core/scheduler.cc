@@ -28,10 +28,12 @@ totalProgress(const CoreProgress *cores, int ncores)
 Kernel
 kernelFromEnv()
 {
-    if (const char *env = std::getenv("GALS_KERNEL")) {
-        if (std::strcmp(env, "reference") == 0)
-            return Kernel::Reference;
-    }
+    const char *env = std::getenv("GALS_KERNEL");
+    if (env == nullptr || *env == '\0' || std::strcmp(env, "event") == 0)
+        return Kernel::EventDriven;
+    if (std::strcmp(env, "reference") == 0)
+        return Kernel::Reference;
+    warn("GALS_KERNEL=\"%s\" is not reference|event; using event", env);
     return Kernel::EventDriven;
 }
 

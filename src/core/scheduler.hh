@@ -55,7 +55,8 @@ enum class Kernel
     Reference,
 };
 
-/** Read GALS_KERNEL (reference|event); EventDriven otherwise. */
+/** Read GALS_KERNEL (reference|event); EventDriven when unset or
+ * empty. Any other value warns and falls back to EventDriven. */
 Kernel kernelFromEnv();
 
 /** Stop condition of one core: run until *progress >= target. */

@@ -409,8 +409,6 @@ class IssueQueue
     // Timer ring (ready_at-ordered min-heap; the deadline is cached
     // next to the id so sifting never touches the slot pool).
     // ------------------------------------------------------------------
-    size_t timedCount() const { return timed_.size(); }
-
     void
     pushTimed(std::int32_t id)
     {
@@ -925,9 +923,6 @@ class Lsq
         Addr line = 0;
         std::uint64_t id = 0;
     };
-
-    /** Number of in-queue stores. */
-    size_t storeCount() const { return stores_.size() - stores_head_; }
 
     /** Invoke f(rec) for every in-queue store, oldest first. */
     template <typename F>

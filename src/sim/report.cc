@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "timing/frequency_model.hh"
 
 namespace gals
 {
@@ -201,34 +202,47 @@ renderTable9(const StudyResult &study)
         return csprintf("%d%%", (100 * count + n / 2) / n);
     };
 
-    auto di = study.distIqInt();
-    auto df = study.distIqFp();
-    auto dd = study.distDcache();
-    auto dc = study.distIcache();
-
     TextTable table("Table 9: distribution of adaptive architecture "
                     "choices for Program-Adaptive");
     table.setHeader({"Integer IQ", "%", "FP IQ", "%", "D-Cache", "%",
                      "I-Cache", "%"});
-    const char *iq_names[4] = {"16", "32", "48", "64"};
-    const char *d_names[4] = {"32k1W/256k1W", "64k2W/512k2W",
-                              "128k4W/1024k4W", "256k8W/2048k8W"};
-    const char *i_names[4] = {"16k1W", "32k2W", "48k3W", "64k4W"};
-    for (int k = 0; k < 4; ++k) {
-        table.addRow({iq_names[k], pct(di[static_cast<size_t>(k)]),
-                      iq_names[k], pct(df[static_cast<size_t>(k)]),
-                      d_names[k], pct(dd[static_cast<size_t>(k)]),
-                      i_names[k], pct(dc[static_cast<size_t>(k)])});
+    const Structure columns[] = {Structure::IntIssueQueue,
+                                 Structure::FpIssueQueue,
+                                 Structure::DCachePair, Structure::ICache};
+    for (int k = 0; k < kNumAdaptiveConfigs; ++k) {
+        std::vector<std::string> row;
+        for (Structure s : columns) {
+            row.push_back(configLabel(s, k));
+            row.push_back(
+                pct(study.distribution(s)[static_cast<size_t>(k)]));
+        }
+        table.addRow(std::move(row));
     }
     return table.render();
 }
 
 std::string
+configLabel(Structure s, int index)
+{
+    switch (s) {
+      case Structure::ICache:     return icacheConfig(index).name;
+      case Structure::DCachePair: return dcachePairConfig(index).name;
+      case Structure::IntIssueQueue:
+      case Structure::FpIssueQueue:
+        return std::to_string(kIssueQueueSizes[index]);
+    }
+    panic("bad structure");
+}
+
+std::string
 renderReconfigTrace(const std::string &title, const ReconfigTrace &trace,
                     Structure s, int initial_index,
-                    std::uint64_t total_instrs,
-                    const std::vector<std::string> &labels)
+                    std::uint64_t total_instrs)
 {
+    std::vector<std::string> labels;
+    for (int k = 0; k < kNumAdaptiveConfigs; ++k)
+        labels.push_back(configLabel(s, k));
+
     // Build the step function config(instrs) from the event log.
     std::vector<ReconfigEvent> events = trace.eventsFor(s);
 

@@ -23,14 +23,21 @@ std::string renderFigure6(const StudyResult &study);
 std::string renderTable9(const StudyResult &study);
 
 /**
+ * Printable name of configuration `index` of structure `s`: the
+ * Table 1/2 row name for the caches, the entry count for the issue
+ * queues.
+ */
+std::string configLabel(Structure s, int index);
+
+/**
  * Figure 7-style reconfiguration trace: configuration index versus
- * committed instructions for one structure of one run.
+ * committed instructions for one structure of one run, one row per
+ * configLabel(s, k).
  */
 std::string renderReconfigTrace(const std::string &title,
                                 const ReconfigTrace &trace, Structure s,
                                 int initial_index,
-                                std::uint64_t total_instrs,
-                                const std::vector<std::string> &labels);
+                                std::uint64_t total_instrs);
 
 /**
  * Line-oriented JSON for a study run: one `"rows"` element per line,

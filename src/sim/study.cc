@@ -8,21 +8,6 @@
 namespace gals
 {
 
-namespace
-{
-
-std::array<int, 4>
-distribution(const std::vector<BenchmarkResult> &results,
-             int AdaptiveConfig::*field)
-{
-    std::array<int, 4> d{};
-    for (const BenchmarkResult &r : results)
-        ++d[static_cast<size_t>(r.program_cfg.*field)];
-    return d;
-}
-
-} // namespace
-
 double
 StudyResult::avgProgramImprovement() const
 {
@@ -46,27 +31,18 @@ StudyResult::avgPhaseImprovement() const
 }
 
 std::array<int, 4>
-StudyResult::distIcache() const
+StudyResult::distribution(Structure s) const
 {
-    return distribution(benchmarks, &AdaptiveConfig::icache);
-}
-
-std::array<int, 4>
-StudyResult::distDcache() const
-{
-    return distribution(benchmarks, &AdaptiveConfig::dcache);
-}
-
-std::array<int, 4>
-StudyResult::distIqInt() const
-{
-    return distribution(benchmarks, &AdaptiveConfig::iq_int);
-}
-
-std::array<int, 4>
-StudyResult::distIqFp() const
-{
-    return distribution(benchmarks, &AdaptiveConfig::iq_fp);
+    std::array<int, 4> d{};
+    for (const BenchmarkResult &r : benchmarks) {
+        const AdaptiveConfig &c = r.program_cfg;
+        int k = s == Structure::ICache          ? c.icache
+                : s == Structure::DCachePair    ? c.dcache
+                : s == Structure::IntIssueQueue ? c.iq_int
+                                                : c.iq_fp;
+        ++d[static_cast<size_t>(k)];
+    }
+    return d;
 }
 
 StudyResult

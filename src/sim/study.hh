@@ -60,13 +60,10 @@ struct StudyResult
     double avgPhaseImprovement() const;
 
     /**
-     * Table 9: how many benchmarks chose each configuration index in
-     * Program-Adaptive mode, per structure.
+     * Table 9: how many benchmarks chose each configuration index of
+     * structure `s` in Program-Adaptive mode.
      */
-    std::array<int, 4> distIcache() const;
-    std::array<int, 4> distDcache() const;
-    std::array<int, 4> distIqInt() const;
-    std::array<int, 4> distIqFp() const;
+    std::array<int, 4> distribution(Structure s) const;
 };
 
 /**

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "cmp/chip.hh"
 #include "common/logging.hh"
@@ -21,8 +20,11 @@ SweepMode
 sweepModeFromEnv()
 {
     const char *env = std::getenv("GALS_SWEEP");
-    if (env && std::strcmp(env, "exhaustive") == 0)
+    if (env == nullptr || *env == '\0' || std::strcmp(env, "staged") == 0)
+        return SweepMode::Staged;
+    if (std::strcmp(env, "exhaustive") == 0)
         return SweepMode::Exhaustive;
+    warn("GALS_SWEEP=\"%s\" is not staged|exhaustive; using staged", env);
     return SweepMode::Staged;
 }
 
@@ -42,56 +44,38 @@ allAdaptiveConfigs()
 namespace
 {
 
-/** Run one whole-program adaptive config; returns window stats.
- * Routed through the result store (sim/result_store.hh): with
- * caching disabled — the default — this is exactly simulate(). */
-RunStats
-runAdaptive(const WorkloadParams &wl, const AdaptiveConfig &cfg)
+/**
+ * Run every whole-program adaptive config in `configs` for `wl`, in
+ * parallel; returns their window stats in `configs` order. Each run
+ * goes through the result store (sim/result_store.hh): with caching
+ * disabled — the default — it is exactly simulate().
+ */
+std::vector<RunStats>
+runAdaptiveBatch(const WorkloadParams &wl,
+                 const std::vector<AdaptiveConfig> &configs)
 {
-    return cachedSimulate(MachineConfig::mcdProgram(cfg), wl);
+    std::vector<RunStats> stats(configs.size());
+    parallelFor(configs.size(), [&](size_t i) {
+        stats[i] = cachedSimulate(MachineConfig::mcdProgram(configs[i]),
+                                  wl);
+    });
+    return stats;
 }
 
 ProgramAdaptiveResult
 exhaustiveSearch(const WorkloadParams &wl)
 {
     std::vector<AdaptiveConfig> configs = allAdaptiveConfigs();
-    std::vector<double> times(configs.size(), 0.0);
-    std::vector<RunStats> stats(configs.size());
-
-    parallelFor(configs.size(), [&](size_t i) {
-        stats[i] = runAdaptive(wl, configs[i]);
-        times[i] = runtimeNs(stats[i]);
-    });
+    std::vector<RunStats> stats = runAdaptiveBatch(wl, configs);
 
     size_t best = 0;
     for (size_t i = 1; i < configs.size(); ++i) {
-        if (times[i] < times[best])
+        if (runtimeNs(stats[i]) < runtimeNs(stats[best]))
             best = i;
     }
     return ProgramAdaptiveResult{configs[best], stats[best],
                                  configs.size()};
 }
-
-} // namespace
-
-std::vector<AdaptivePointRuntime>
-sweepAdaptiveRaw(const WorkloadParams &wl)
-{
-    std::vector<AdaptivePointRuntime> out;
-    for (const AdaptiveConfig &cfg : allAdaptiveConfigs())
-        out.push_back(AdaptivePointRuntime{cfg, 0.0});
-
-    parallelFor(out.size(), [&](size_t i) {
-        out[i].runtime_ns =
-            runtimeNs(runAdaptive(wl, out[i].cfg));
-    });
-    obs::MetricsRegistry::instance().add("sweep.adaptive_points",
-                                         out.size());
-    return out;
-}
-
-namespace
-{
 
 ProgramAdaptiveResult
 stagedSearch(const WorkloadParams &wl)
@@ -100,7 +84,7 @@ stagedSearch(const WorkloadParams &wl)
     // pair and I-cache dominate the frequency/miss tradeoffs, so they
     // are settled before the issue queues.
     AdaptiveConfig cur{};
-    RunStats best_stats = runAdaptive(wl, cur);
+    RunStats best_stats = runAdaptiveBatch(wl, {cur}).front();
     double best_time = runtimeNs(best_stats);
     std::uint64_t runs = 1;
 
@@ -113,16 +97,12 @@ stagedSearch(const WorkloadParams &wl)
             if (!(c == cur))
                 cands.push_back(c);
         }
-        std::vector<RunStats> stats(cands.size());
-        std::vector<double> times(cands.size());
-        parallelFor(cands.size(), [&](size_t i) {
-            stats[i] = runAdaptive(wl, cands[i]);
-            times[i] = runtimeNs(stats[i]);
-        });
+        std::vector<RunStats> stats = runAdaptiveBatch(wl, cands);
         runs += cands.size();
         for (size_t i = 0; i < cands.size(); ++i) {
-            if (times[i] < best_time) {
-                best_time = times[i];
+            double t = runtimeNs(stats[i]);
+            if (t < best_time) {
+                best_time = t;
                 best_stats = stats[i];
                 cur = cands[i];
             }
@@ -138,6 +118,21 @@ stagedSearch(const WorkloadParams &wl)
 }
 
 } // namespace
+
+std::vector<AdaptivePointRuntime>
+sweepAdaptiveRaw(const WorkloadParams &wl)
+{
+    std::vector<AdaptiveConfig> configs = allAdaptiveConfigs();
+    std::vector<RunStats> stats = runAdaptiveBatch(wl, configs);
+    std::vector<AdaptivePointRuntime> out;
+    out.reserve(configs.size());
+    for (size_t i = 0; i < configs.size(); ++i)
+        out.push_back(AdaptivePointRuntime{configs[i],
+                                           runtimeNs(stats[i])});
+    obs::MetricsRegistry::instance().add("sweep.adaptive_points",
+                                         out.size());
+    return out;
+}
 
 ProgramAdaptiveResult
 findBestAdaptive(const WorkloadParams &wl, SweepMode mode)

@@ -32,7 +32,8 @@ enum class SweepMode
     Exhaustive, //!< all 256 configurations.
 };
 
-/** Read GALS_SWEEP (staged|exhaustive); default staged. */
+/** Read GALS_SWEEP (staged|exhaustive); Staged when unset or empty.
+ * Any other value warns and falls back to Staged. */
 SweepMode sweepModeFromEnv();
 
 /** Every adaptive configuration (256 points). */

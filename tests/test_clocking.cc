@@ -257,25 +257,6 @@ TEST(SyncFifo, WrapAroundBoundaryVisibility)
     EXPECT_EQ(f.frontVisibleAt(), 50u);
 }
 
-TEST(SyncFifo, SquashAcrossWrapBoundary)
-{
-    SyncFifo<int> f(4);
-    f.push(0, 0);
-    f.push(1, 0);
-    f.pop();
-    f.pop(); // head at slot 2.
-    for (int v = 2; v <= 5; ++v)
-        f.push(v, 0); // occupies slots 2,3,0,1: wraps.
-    size_t removed = f.squash([](int v) { return v % 2 == 1; });
-    EXPECT_EQ(removed, 2u);
-    EXPECT_EQ(f.size(), 2u);
-    EXPECT_EQ(f.front(), 2);
-    f.pop();
-    EXPECT_EQ(f.front(), 4);
-    f.pop();
-    EXPECT_TRUE(f.empty());
-}
-
 TEST(SyncFifo, FreeSlotsTracksOccupancy)
 {
     SyncFifo<int> f(3);
@@ -287,18 +268,16 @@ TEST(SyncFifo, FreeSlotsTracksOccupancy)
     EXPECT_EQ(f.freeSlots(), 2u);
 }
 
-TEST(SyncFifo, OrderPreservedAndSquash)
+TEST(SyncFifo, OrderPreserved)
 {
     SyncFifo<int> f(8);
     for (int i = 0; i < 6; ++i)
         f.push(i, 0);
-    size_t removed = f.squash([](int v) { return v % 2 == 1; });
-    EXPECT_EQ(removed, 3u);
-    EXPECT_EQ(f.size(), 3u);
-    EXPECT_EQ(f.front(), 0);
-    f.pop();
-    EXPECT_EQ(f.front(), 2);
-    f.clear();
+    EXPECT_EQ(f.size(), 6u);
+    for (int i = 0; i < 6; ++i) {
+        EXPECT_EQ(f.front(), i);
+        f.pop();
+    }
     EXPECT_TRUE(f.empty());
 }
 

@@ -5,6 +5,7 @@
 #include <set>
 #include <thread>
 
+#include "core/scheduler.hh"
 #include "sim/parallel.hh"
 #include "sim/report.hh"
 #include "sim/simulation.hh"
@@ -24,6 +25,18 @@ shrunk(const char *name, std::uint64_t instrs = 12'000)
     w.warmup_instrs = 3'000;
     return w;
 }
+
+/** The distinct threads that ran the indices of one parallelFor. */
+std::set<std::thread::id>
+threadsUsed(unsigned max_threads)
+{
+    std::vector<std::thread::id> ids(256);
+    parallelFor(
+        ids.size(),
+        [&](size_t i) { ids[i] = std::this_thread::get_id(); },
+        max_threads);
+    return {ids.begin(), ids.end()};
+}
 } // namespace
 
 TEST(Parallel, CoversAllIndicesOnce)
@@ -39,6 +52,51 @@ TEST(Parallel, SingleThreadFallback)
     int sum = 0;
     parallelFor(10, [&](size_t i) { sum += static_cast<int>(i); }, 1);
     EXPECT_EQ(sum, 45);
+}
+
+TEST(Parallel, NestedCallRunsOnTheBodysThread)
+{
+    std::vector<std::thread::id> outer(8);
+    std::vector<std::vector<std::thread::id>> inner(
+        outer.size(), std::vector<std::thread::id>(16));
+    parallelFor(
+        outer.size(),
+        [&](size_t i) {
+            outer[i] = std::this_thread::get_id();
+            parallelFor(inner[i].size(), [&](size_t j) {
+                inner[i][j] = std::this_thread::get_id();
+            });
+        },
+        4);
+    for (size_t i = 0; i < outer.size(); ++i) {
+        for (std::thread::id id : inner[i])
+            EXPECT_EQ(id, outer[i]);
+    }
+}
+
+TEST(Parallel, ThreadCapsBoundTheWorkers)
+{
+    EXPECT_LE(threadsUsed(2).size(), 2u);
+    setenv("GALS_THREADS", "2", 1);
+    EXPECT_LE(threadsUsed(0).size(), 2u);
+    setenv("GALS_THREADS", "1", 1);
+    EXPECT_EQ(threadsUsed(0),
+              std::set<std::thread::id>{std::this_thread::get_id()});
+    unsetenv("GALS_THREADS");
+}
+
+TEST(Parallel, WorkerFlagClearsAfterTopLevelCall)
+{
+    std::vector<char> flagged(64, 0);
+    parallelFor(
+        flagged.size(),
+        [&](size_t i) { flagged[i] = detail::onWorker(); }, 4);
+    EXPECT_FALSE(detail::onWorker());
+    // Bodies run flagged whenever the call actually went parallel.
+    if (std::min(4u, sweepThreads()) > 1) {
+        for (char f : flagged)
+            EXPECT_TRUE(f);
+    }
 }
 
 TEST(Parallel, ThreadCountEnvParsingFallsBackAndClamps)
@@ -88,7 +146,50 @@ TEST(Sweep, ModeFromEnv)
     EXPECT_EQ(sweepModeFromEnv(), SweepMode::Exhaustive);
     setenv("GALS_SWEEP", "staged", 1);
     EXPECT_EQ(sweepModeFromEnv(), SweepMode::Staged);
+
+    // Anything but the two documented values warns, naming the
+    // variable and the value, and falls back to staged.
+    for (const char *bad : {"exhaustve", "Exhaustive", "exhaustive "}) {
+        setenv("GALS_SWEEP", bad, 1);
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(sweepModeFromEnv(), SweepMode::Staged);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("warn: GALS_SWEEP=\"" + std::string(bad) +
+                           "\""),
+                  std::string::npos)
+            << err;
+    }
     unsetenv("GALS_SWEEP");
+}
+
+TEST(Kernel, FromEnv)
+{
+    unsetenv("GALS_KERNEL");
+    EXPECT_EQ(kernelFromEnv(), Kernel::EventDriven);
+    setenv("GALS_KERNEL", "reference", 1);
+    EXPECT_EQ(kernelFromEnv(), Kernel::Reference);
+
+    // The documented values and an empty string log nothing.
+    for (const char *ok : {"event", ""}) {
+        setenv("GALS_KERNEL", ok, 1);
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(kernelFromEnv(), Kernel::EventDriven);
+        EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    }
+
+    // A user who asked for the oracle with a near miss is told so
+    // instead of silently getting the event kernel.
+    for (const char *bad : {"Reference", "ref", "oracle"}) {
+        setenv("GALS_KERNEL", bad, 1);
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(kernelFromEnv(), Kernel::EventDriven);
+        std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("warn: GALS_KERNEL=\"" + std::string(bad) +
+                           "\""),
+                  std::string::npos)
+            << err;
+    }
+    unsetenv("GALS_KERNEL");
 }
 
 TEST(Sweep, StagedSearchImprovesOnBase)
@@ -159,7 +260,7 @@ TEST(Study, TwoBenchmarkStudyIsCoherent)
                  r.benchmarks[1].programImprovement()) / 2.0,
                 1e-12);
     // Table 9 distributions count all benchmarks.
-    auto d = r.distDcache();
+    auto d = r.distribution(Structure::DCachePair);
     EXPECT_EQ(d[0] + d[1] + d[2] + d[3], 2);
 }
 
@@ -184,9 +285,7 @@ TEST(Report, ReconfigTraceRendering)
     trace.record(50'000, Structure::DCachePair, 2, 0);
     std::string s = renderReconfigTrace(
         "apsi D/L2 cache configurations", trace,
-        Structure::DCachePair, 0, 100'000,
-        {"32k1W/256k1W", "64k2W/512k2W", "128k4W/1024k4W",
-         "256k8W/2048k8W"});
+        Structure::DCachePair, 0, 100'000);
     EXPECT_NE(s.find("apsi"), std::string::npos);
     EXPECT_NE(s.find("128k4W/1024k4W"), std::string::npos);
     EXPECT_NE(s.find("2 reconfigurations"), std::string::npos);
