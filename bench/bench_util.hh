@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared helpers for the bench binaries: every binary prints its
- * paper table/figure reproduction in main() and then runs its
- * registered google-benchmark measurements.
+ * Shared helpers for the two host-throughput bench binaries
+ * (bench_sim_throughput, bench_cmp_scaling): a process CPU clock, the
+ * report banner and the google-benchmark tail. The paper's tables and
+ * figures come from examples/repro.cpp.
  */
 
 #ifndef GALS_BENCH_BENCH_UTIL_HH
@@ -10,36 +11,11 @@
 
 #include <benchmark/benchmark.h>
 
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
-#include <optional>
-
-#include "common/logging.hh"
-#include "common/parse.hh"
 
 namespace gals
 {
-
-/** GALS_BENCHMARKS as a benchmark count, `fallback` when unset. Input
- * that is not a non-negative integer ("8x", "abc") warns and falls
- * back, the threadCountFromEnv contract. */
-inline std::size_t
-benchmarkCountFromEnv(std::size_t fallback)
-{
-    const char *env = std::getenv("GALS_BENCHMARKS");
-    if (env == nullptr)
-        return fallback;
-    std::optional<long long> v = parseInteger(env, 0, LLONG_MAX);
-    if (!v) {
-        warn("GALS_BENCHMARKS=\"%s\" is not a non-negative integer; "
-             "using the default",
-             env);
-        return fallback;
-    }
-    return static_cast<std::size_t>(*v);
-}
 
 /** Process CPU seconds (sums across threads; immune to co-runner
  * contention, which makes it the stable column on shared hosts). */
@@ -52,7 +28,7 @@ cpuProcessSeconds()
            static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/** Banner separating the reproduction report from the micro-bench. */
+/** Banner heading the binary's report, before its micro-benchmarks. */
 inline void
 benchBanner(const char *experiment, const char *paper_note)
 {

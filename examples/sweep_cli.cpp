@@ -2,8 +2,9 @@
  * @file
  * Design-space sweep driver.
  *
- * Runs one sweep on the in-process pool (sim/parallel.hh, capped by
- * GALS_THREADS) and writes its rows as line-oriented JSON.
+ * Runs one sweep on scoped worker threads, started and joined by each
+ * parallelFor call (sim/parallel.hh, capped by GALS_THREADS), and
+ * writes its rows as line-oriented JSON.
  *
  * Usage:
  *   sweep_cli [--mode study|sync|adaptive|cmp] [--out FILE]

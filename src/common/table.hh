@@ -1,8 +1,8 @@
 /**
  * @file
- * ASCII table rendering for experiment reports. Every bench binary
- * prints its paper table/figure through this formatter so outputs have
- * a uniform, diffable layout.
+ * ASCII table rendering for experiment reports. The reproduction
+ * driver (examples/repro.cpp) prints every paper table and figure
+ * through this formatter so outputs have a uniform, diffable layout.
  */
 
 #ifndef GALS_COMMON_TABLE_HH
@@ -48,7 +48,7 @@ class TextTable
 };
 
 /**
- * Render a horizontal ASCII bar chart (used for the "figure" benches:
+ * Render a horizontal ASCII bar chart (used for the paper figures:
  * one labeled bar per series point).
  */
 std::string renderBarChart(const std::string &title,

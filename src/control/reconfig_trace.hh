@@ -1,8 +1,8 @@
 /**
  * @file
  * Reconfiguration event log. The phase-adaptive processor records
- * every structure change here; the Figure 7 bench replays the log as
- * a configuration-versus-instructions trace.
+ * every structure change here; repro's Figure 7 section replays the
+ * log as a configuration-versus-instructions trace.
  */
 
 #ifndef GALS_CONTROL_RECONFIG_TRACE_HH

@@ -115,10 +115,11 @@ struct MachineConfig
     //
     // The paper uses 15K-instruction intervals and ~15us PLL locks
     // against 100M+-instruction windows. Our windows are scaled down
-    // ~1000x (DESIGN.md §5), so the adaptation timescales are scaled
-    // too, preserving the interval:phase:window proportions. Paper-
-    // faithful values are restored by setting cache_interval_instrs
-    // to 15'000 and pll to PllParams{15.0, 1.7, 10.0, 20.0}.
+    // ~1000x (docs/testing.md, "Fidelity scorecard"), so the
+    // adaptation timescales are scaled too, preserving the
+    // interval:phase:window proportions. Paper-faithful values are
+    // restored by setting cache_interval_instrs to 15'000 and pll to
+    // PllParams{15.0, 1.7, 10.0, 20.0}.
     // ------------------------------------------------------------------
     /** Cache-controller interval (committed instructions). */
     std::uint64_t cache_interval_instrs = 2'000;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Text rendering of the paper's tables and figures from study
- * results. Each bench binary calls one of these so every experiment
- * prints in a uniform, diffable format.
+ * results. The reproduction driver and the examples call these so
+ * every experiment prints in a uniform, diffable format.
  */
 
 #ifndef GALS_SIM_REPORT_HH

@@ -102,8 +102,8 @@ buildICacheTable()
     const int hg[kNumAdaptiveConfigs] = {14, 15, 15, 16};
     const int hl[kNumAdaptiveConfigs] = {11, 12, 12, 13};
     // A/B partition latencies for the I-cache; the paper gives the
-    // D-cache pairs only, so we use the analogous schedule (assumption
-    // documented in DESIGN.md).
+    // D-cache pairs only, so we use the analogous schedule (a
+    // documented departure: docs/testing.md, "Fidelity scorecard").
     const int b_lat[kNumAdaptiveConfigs] = {6, 4, 2, -1};
     const char *names[kNumAdaptiveConfigs] = {"16k1W", "32k2W", "48k3W",
                                               "64k4W"};

@@ -5,10 +5,11 @@
  * runs, and 15 SPEC2000 runs (Tables 6, 7, 8).
  *
  * Each descriptor's knobs are tuned to the application's published
- * character (see DESIGN.md §5): e.g. adpcm is a tiny high-ILP kernel,
- * em3d is a memory-bound pointer chaser, gcc has a large instruction
- * and data footprint, apsi alternates data working sets between
- * phases, art cycles through ILP-distance regimes.
+ * character (see docs/testing.md, "Fidelity scorecard"): e.g. adpcm
+ * is a tiny high-ILP kernel, em3d is a memory-bound pointer chaser,
+ * gcc has a large instruction and data footprint, apsi alternates
+ * data working sets between phases, art cycles through ILP-distance
+ * regimes.
  *
  * Simulation windows are scaled down ~1000x from the paper's (120K to
  * 260K measured instructions) so the full Figure 6 study runs on a
