@@ -204,6 +204,15 @@ Chip::run()
         m.add("kernel.skipped_edges." + kind,
               k.skipped_edges[static_cast<size_t>(d)]);
     }
+    // Load-issue retries, summed over cores.
+    std::uint64_t mshr_busy = 0;
+    std::uint64_t blocked = 0;
+    for (const auto &core : cores_) {
+        mshr_busy += core->lsu().retriesMshrBusy();
+        blocked += core->lsu().retriesBlocked();
+    }
+    m.add("lsu.retry.mshr_busy", mshr_busy);
+    m.add("lsu.retry.blocked", blocked);
     return out;
 }
 

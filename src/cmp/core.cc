@@ -1,8 +1,5 @@
 #include "cmp/core.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace gals
@@ -206,47 +203,6 @@ Core::validateInvariants() const
                     "entry");
         prev = id;
         have_prev = true;
-    }
-
-    // Blocked-load chains: every chained load is an in-queue,
-    // unissued, kind-3 load younger than its (data-pending) store,
-    // chained exactly once; and every kind-3 load is on some chain.
-    {
-        std::vector<std::uint64_t> chained;
-        lsq.forEachStore([&](const Lsq::StoreRec &rec) {
-            const LsqEntry &store = lsq.byId(rec.id);
-            std::uint64_t node = store.blocked_head;
-            GALS_ASSERT(node == kLsqNoId || !store.data_ready,
-                        "LSQ blocked-load chain on a data-ready "
-                        "store");
-            while (node != kLsqNoId) {
-                GALS_ASSERT(node >= first && node < past,
-                            "LSQ blocked-load chain references a "
-                            "popped entry");
-                GALS_ASSERT(node > rec.id,
-                            "LSQ blocked-load chain holds a load "
-                            "older than its store");
-                const LsqEntry &load = lsq.byId(node);
-                GALS_ASSERT(!load.is_store && !load.issued &&
-                                load.wait_kind == 3,
-                            "LSQ blocked-load chain references a "
-                            "non-blocked entry");
-                chained.push_back(node);
-                node = load.next_blocked;
-            }
-        });
-        std::sort(chained.begin(), chained.end());
-        for (size_t i = 1; i < chained.size(); ++i) {
-            GALS_ASSERT(chained[i - 1] != chained[i],
-                        "LSQ load chained twice");
-        }
-        for (std::uint64_t id : lsq.waitingLoads()) {
-            if (lsq.byId(id).wait_kind != 3)
-                continue;
-            GALS_ASSERT(std::binary_search(chained.begin(),
-                                           chained.end(), id),
-                        "LSQ kind-3 load on no blocked chain");
-        }
     }
 
     // Issue queues: every live slot mirrors a ROB op that is actually

@@ -92,6 +92,9 @@ class Core
     /** Current structure configuration (changes in phase mode). */
     const AdaptiveConfig &currentConfig() const { return cur_cfg_; }
 
+    /** The load/store unit (read-only: telemetry folds). */
+    const LoadStoreUnit &lsu() const { return lsu_; }
+
     /**
      * Run deep structural invariant checks (rename map vs free lists,
      * ROB age order, fetch-group accounting, LSQ index consistency)

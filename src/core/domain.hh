@@ -125,9 +125,10 @@ class CoreTiming
 
     /**
      * Grid-change epoch: bumped whenever any domain clock applies a
-     * period change. Tags every memoized grid extrapolation
-     * (InFlightOp::ready_hint/fe_vis, LsqEntry::agen_vis, the
-     * per-domain sleep summaries).
+     * period change. Tags every memoized grid extrapolation, all of
+     * them per-domain wake state: the issue queues' ready times
+     * (IssueCluster::iq_epoch_), the front end's sleep summary and
+     * line-fill memo, and the redirect resume memo.
      */
     std::uint32_t epoch() const { return epoch_; }
     void bumpEpoch() { ++epoch_; }

@@ -448,15 +448,10 @@ FrontEnd::doRetire(Tick now)
             } else {
                 if (!op.completed())
                     break; // completion port wakes the front end.
-                if (op.fe_vis == kTickMax ||
-                    op.fe_vis_epoch != timing_.epoch()) {
-                    op.fe_vis = timing_.visibleAt(
-                        op.complete_at, op.domain,
-                        DomainId::FrontEnd);
-                    op.fe_vis_epoch = timing_.epoch();
-                }
-                if (op.fe_vis > now) {
-                    feNote(op.fe_vis); // exact visibility gate.
+                Tick vis = timing_.visibleAt(
+                    op.complete_at, op.domain, DomainId::FrontEnd);
+                if (vis > now) {
+                    feNote(vis); // exact visibility gate.
                     break;
                 }
                 if (op.is_mem)

@@ -67,8 +67,8 @@ IssueCluster::step(Tick now)
     });
 
     // A landed period change staled every memoized ready time: timed
-    // and ready slots re-fold at this edge (chained waiters keep
-    // their lazily epoch-tagged memos, as the reference scan does).
+    // and ready slots re-fold at this edge (chained waiters fold
+    // their sources afresh once a completion wakes them).
     if (iq_epoch_ != timing_.epoch()) {
         iq_.invalidateTimes();
         iq_epoch_ = timing_.epoch();
@@ -96,12 +96,6 @@ IssueCluster::step(Tick now)
             auto fold = [&](PhysRef ref, size_t si) {
                 if (ref.index < 0)
                     return;
-                if (slot.src_vis[si] != kTickMax &&
-                    slot.src_vis_epoch[si] == timing_.epoch()) {
-                    if (slot.src_vis[si] > ready_at)
-                        ready_at = slot.src_vis[si];
-                    return;
-                }
                 const PhysRegState &s = regs_.state(ref);
                 if (s.pending) {
                     // Producer not issued: completion time is
@@ -114,8 +108,6 @@ IssueCluster::step(Tick now)
                 }
                 Tick v = timing_.visibleAt(s.ready_at, s.producer,
                                            dom);
-                slot.src_vis[si] = v;
-                slot.src_vis_epoch[si] = timing_.epoch();
                 if (v > ready_at)
                     ready_at = v;
             };

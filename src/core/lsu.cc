@@ -44,7 +44,6 @@ LoadStoreUnit::wire(CorePorts &ports, ReconfigUnit &reconfig)
     completion_ = &ports.completion;
     sb_ = &ports.store_buffer;
     store_ready_ = &ports.store_ready;
-    agen_ = &ports.agen;
     reconfig_ = &reconfig;
 }
 
@@ -168,39 +167,17 @@ LoadStoreUnit::claimMshr(Tick now, Tick done)
 // LSQ walks.
 // ---------------------------------------------------------------------
 
-/**
- * Memoized load/store-domain visibility of an entry's address
- * generation; false while the agen uop is unissued or not yet
- * visible here.
- */
-bool
-LoadStoreUnit::agenVisible(LsqEntry &entry, const InFlightOp &op,
-                           Tick now)
-{
-    if (op.agen_done == kTickMax)
-        return false;
-    if (entry.agen_vis == kTickMax ||
-        entry.agen_vis_epoch != timing_.epoch()) {
-        entry.agen_vis = timing_.visibleAt(
-            op.agen_done, DomainId::Integer, DomainId::LoadStore);
-        entry.agen_vis_epoch = timing_.epoch();
-    }
-    return entry.agen_vis <= now;
-}
-
 LoadStoreUnit::LoadStart
-LoadStoreUnit::tryStartLoad(LsqEntry &entry, Tick now,
-                            int &ports_used, std::uint64_t &blocker)
+LoadStoreUnit::tryStartLoad(LsqEntry &entry, Tick now, int &ports_used)
 {
     InFlightOp &op = rob_[entry.rob_idx];
 
     // Memory disambiguation against older stores (exact, since all
     // addresses are known at rename): blocked while any older
     // same-line store lacks its data; forward once all (at least one)
-    // have it. The per-line index replaces the seed's scan over every
-    // older queue entry.
-    Lsq::OlderStores older =
-        lsq_.olderStores(entry.line_addr, entry.id, &blocker);
+    // have it. The flat store list replaces the seed's scan over
+    // every older queue entry.
+    Lsq::OlderStores older = lsq_.olderStores(entry.line_addr, entry.id);
     if (older == Lsq::OlderStores::Blocked)
         return LoadStart::Blocked; // wait for the store's data.
     bool forward = older == Lsq::OlderStores::AllReady ||
@@ -258,32 +235,14 @@ LoadStoreUnit::step(Tick now)
     // Cross-core coherence delivery: invalidations whose transfer
     // latency has elapsed drop their lines from the L1D and charge
     // one mem port each — the timing visibility that makes the
-    // publisher's remote wake load-bearing. Processing enables no
-    // LSQ entry earlier (it only slows future accesses), so the walk
-    // summary below stays valid.
+    // publisher's remote wake load-bearing.
     int coh_ports = icp_.consumeInvalidations(core_index_, now, *l1d_);
 
-    bool arrived_any = false;
     disp_->consume(now, [&](size_t) {
         lsq_.markArrived(now);
-        arrived_any = true;
         return true;
     });
 
-    // Walk-summary skip: every LSQ entry's blocking condition was
-    // recorded by the last full walk. If none can have moved, only
-    // the post-commit store buffer may still drain.
-    if (!arrived_any && !ls_sum_.must_walk && now < ls_sum_.min_time &&
-        ls_sum_.agen_snap == agen_->issues() &&
-        ls_sum_.wake_snap == lsq_.wakeEvents() &&
-        ls_sum_.epoch_snap == timing_.epoch()) {
-        if (!sb_->empty() && sb_->frontReadyAt() <= now &&
-            mshr_min_free_ <= now) {
-            int ports = coh_ports;
-            drainStoreBuffer(now, ports, cfg_.mem_ports);
-        }
-        return wakeBound();
-    }
     bool need_every_edge = false;
     Tick min_time = kTickMax;
 
@@ -303,34 +262,33 @@ LoadStoreUnit::step(Tick now)
                 pending[keep++] = id; // agen still not issued.
                 continue;
             }
-            e.wait_kind = 0;
             InFlightOp &op = rob_[e.rob_idx];
             if (op.agen_done == kTickMax) {
                 e.wait_kind = 1; // cleared by the agen issue itself.
                 pending[keep++] = id;
                 continue;
             }
-            if (e.arrived_at <= now && agenVisible(e, op, now)) {
-                op.store_ready = true;
-                op.complete_at = now;
-                e.data_ready = true; // leaves the pending walk.
-                // Wake exactly the loads blocked on this store; no
-                // other entry's memo depends on this capture.
-                lsq_.wakeBlockedOn(e);
-                // Retire blocks only on the ROB head; a younger
-                // store becoming ready cannot unblock the front end.
-                // The head becomes retirable *at this very tick*,
-                // which the front end may first consume per the
-                // publication order rule (the port decides).
-                if (e.rob_idx == rob_.headIndex())
-                    store_ready_->publish(now);
-                continue;
-            }
             if (e.arrived_at <= now) {
+                Tick vis = timing_.visibleAt(
+                    op.agen_done, DomainId::Integer,
+                    DomainId::LoadStore);
+                if (vis <= now) {
+                    op.store_ready = true;
+                    op.complete_at = now;
+                    e.data_ready = true; // leaves the pending walk.
+                    // Retire blocks only on the ROB head; a younger
+                    // store becoming ready cannot unblock the front
+                    // end. The head becomes retirable *at this very
+                    // tick*, which the front end may first consume
+                    // per the publication order rule (the port
+                    // decides).
+                    if (e.rob_idx == rob_.headIndex())
+                        store_ready_->publish(now);
+                    continue;
+                }
                 // Waiting on a known agen-visibility time (an
-                // unarrived entry resets the walk via the arrival
-                // flag instead).
-                min_time = std::min(min_time, e.agen_vis);
+                // unarrived entry is woken by its dispatch arrival).
+                min_time = std::min(min_time, vis);
             }
             pending[keep++] = id;
         }
@@ -345,8 +303,9 @@ LoadStoreUnit::step(Tick now)
         drainStoreBuffer(now, ports_used, 1);
 
     // Load issue walks only the not-yet-issued loads, oldest first.
-    // Each blocked load carries why it is blocked, so the walk skips
-    // it with a compare until the blocking condition can have moved.
+    // A load whose agen has not issued is skipped with one compare
+    // until the agen port clears its mark; every other load is
+    // re-evaluated on each walk.
     {
         auto &loads = lsq_.waitingLoads();
         size_t keep = 0;
@@ -359,29 +318,10 @@ LoadStoreUnit::step(Tick now)
                 continue;
             }
             LsqEntry &e = lsq_.byId(id);
-            if (e.wait_kind == 1) {
-                loads[keep++] = id; // agen still not issued.
-                continue;
-            }
-            if (e.wait_kind == 3) {
-                // Chained on its blocking store: the store's data
-                // capture or retirement clears this memo directly.
+            if (e.wait_kind == 1 || e.arrived_at > now) {
+                // Agen not issued, or not yet arrived: the agen port
+                // or the dispatch arrival wakes this domain.
                 loads[keep++] = id;
-                continue;
-            }
-            if (e.wait_kind == 2) {
-                if (now < e.wait_until) {
-                    min_time = std::min(min_time, e.wait_until);
-                    loads[keep++] = id; // MSHRs still busy, no new
-                    continue;           // forwardable line pushed.
-                }
-                // The recorded MSHR free time passed: retire the
-                // waiter record along with the memo.
-                lsq_.removeMshrWaiter(e);
-            }
-            e.wait_kind = 0;
-            if (e.arrived_at > now) {
-                loads[keep++] = id; // arrival resets the walk.
                 continue;
             }
             InFlightOp &op = rob_[e.rob_idx];
@@ -390,28 +330,27 @@ LoadStoreUnit::step(Tick now)
                 loads[keep++] = id;
                 continue;
             }
-            if (!agenVisible(e, op, now)) {
-                min_time = std::min(min_time, e.agen_vis);
-                loads[keep++] = id; // pure time wait: one compare.
+            Tick vis = timing_.visibleAt(op.agen_done, DomainId::Integer,
+                                         DomainId::LoadStore);
+            if (vis > now) {
+                min_time = std::min(min_time, vis);
+                loads[keep++] = id; // pure time wait.
                 continue;
             }
-            std::uint64_t blocker = kLsqNoId;
-            LoadStart r = tryStartLoad(e, now, ports_used, blocker);
+            LoadStart r = tryStartLoad(e, now, ports_used);
             if (r == LoadStart::Issued)
                 continue;
             if (r == LoadStart::Blocked) {
-                // Event-waited on exactly one store: chain there.
-                e.wait_kind = 3;
-                lsq_.addBlockedWaiter(blocker, id);
+                // The blocking store's data capture happens in this
+                // domain's own store walk, which that store's agen
+                // issue wakes or its agen visibility already bounds.
+                ++retry_blocked_;
             } else {
-                // Time-waited on the exact MSHR free time (which
-                // never moves earlier); a same-line store-buffer
-                // push is the only event that can issue this load
-                // sooner, and it finds the load via the waiter index.
-                e.wait_kind = 2;
-                e.wait_until = mshr_min_free_;
-                lsq_.addMshrWaiter(id);
-                min_time = std::min(min_time, e.wait_until);
+                // The MSHR free time never moves earlier; a same-line
+                // store-buffer push (which wakes this domain) is the
+                // only event that can issue the load sooner.
+                ++retry_mshr_busy_;
+                min_time = std::min(min_time, mshr_min_free_);
             }
             loads[keep++] = id;
         }
@@ -422,9 +361,6 @@ LoadStoreUnit::step(Tick now)
 
     ls_sum_.must_walk = need_every_edge;
     ls_sum_.min_time = min_time;
-    ls_sum_.agen_snap = agen_->issues();
-    ls_sum_.wake_snap = lsq_.wakeEvents();
-    ls_sum_.epoch_snap = timing_.epoch();
     return wakeBound();
 }
 
@@ -433,17 +369,12 @@ LoadStoreUnit::wakeBound() const
 {
     Tick w = kTickMax;
     if (!lsq_.empty()) {
-        // Sleep on the walk summary. Wake sources are the agen port,
-        // the indexed LSQ wakes (store data capture/retirement and
-        // matching-line store-buffer pushes), recorded future times,
-        // and the epoch-bump port.
-        if (ls_sum_.must_walk ||
-            ls_sum_.epoch_snap != timing_.epoch() ||
-            ls_sum_.agen_snap != agen_->issues() ||
-            ls_sum_.wake_snap != lsq_.wakeEvents()) {
+        // Sleep on the walk summary; the event wakes (agen issue,
+        // dispatch arrival, store-buffer push, epoch bump) arrive
+        // through their ports.
+        if (ls_sum_.must_walk)
             return 0;
-        }
-        w = std::min(w, ls_sum_.min_time);
+        w = ls_sum_.min_time;
     }
     if (!disp_->empty())
         w = std::min(w, disp_->frontVisibleAt());

@@ -32,7 +32,6 @@ class DispatchPort;
 class CompletionPort;
 class StoreBufferPort;
 class WakePort;
-class AgenPort;
 class ReconfigUnit;
 class InterconnectPort;
 
@@ -96,18 +95,22 @@ class LoadStoreUnit final : public Domain
     std::uint64_t l2TotalMisses() const;
     std::uint64_t l2TotalBHits() const;
 
+    /** Load-issue attempts that found no free MSHR / an older
+     * same-line store without data (each retried by a later walk;
+     * the `lsu.retry.*` metrics). */
+    std::uint64_t retriesMshrBusy() const { return retry_mshr_busy_; }
+    std::uint64_t retriesBlocked() const { return retry_blocked_; }
+
   private:
-    /** Outcome of a load-issue attempt (drives the wakeup index). */
+    /** Outcome of a load-issue attempt. */
     enum class LoadStart
     {
         Issued,   //!< access started; entry leaves the waiting list.
-        Blocked,  //!< older same-line store lacks data: event-waited.
-        MshrBusy, //!< no free MSHR: time- and event-waited.
+        Blocked,  //!< older same-line store lacks data: retried.
+        MshrBusy, //!< no free MSHR: retried.
     };
 
-    bool agenVisible(LsqEntry &entry, const InFlightOp &op, Tick now);
-    LoadStart tryStartLoad(LsqEntry &entry, Tick now, int &ports_used,
-                           std::uint64_t &blocker);
+    LoadStart tryStartLoad(LsqEntry &entry, Tick now, int &ports_used);
     void drainStoreBuffer(Tick now, int &ports_used, int max_ports);
     Tick dataHierarchyTime(Addr addr, Tick now);
     /** Occupy the free MSHR the caller verified exists until `done`. */
@@ -124,28 +127,24 @@ class LoadStoreUnit final : public Domain
     Tick mshr_min_free_ = 0;
 
     /**
-     * Walk summary for the combined LSQ walks of this domain. The
-     * event snapshots are the per-entry wake sources only: the LSQ
-     * wake counter covers blocked-load chain wakes (a store's data
-     * capture or retirement) and matching-line store-buffer pushes
-     * (the one push that can make an MSHR-waiting load forwardable —
-     * found through the per-line waiter index, so unrelated pushes no
-     * longer force a walk). MSHR claims and store-buffer pops
-     * invalidate nothing — they can only push wait bounds later,
-     * never enable an entry — so a walk whose waiters are all far in
-     * the future stays asleep through them (the seed design re-walked
-     * the whole queue on every such event).
+     * Walk summary of the last step's LSQ walks: what bounds the
+     * domain's sleep. Event wakes (an agen issue, a dispatch arrival,
+     * a store-buffer push, an epoch bump) reach the scheduler through
+     * their ports; every step walks every waiting entry.
      */
     struct LsSummary
     {
+        /** Loads were left unevaluated (memory ports ran out). */
         bool must_walk = true;
         /** Earliest agen-visibility / MSHR-free time among waiters. */
         Tick min_time = kTickMax;
-        std::uint32_t agen_snap = 0;
-        std::uint32_t wake_snap = 0;
-        std::uint32_t epoch_snap = 0;
     };
     LsSummary ls_sum_;
+
+    /** Walk-local event counts (observation only; Chip::run folds
+     * them into the metrics registry once per run). */
+    std::uint64_t retry_mshr_busy_ = 0;
+    std::uint64_t retry_blocked_ = 0;
 
     Damper damp_dcache_;
 
@@ -154,7 +153,6 @@ class LoadStoreUnit final : public Domain
     CompletionPort *completion_ = nullptr;
     StoreBufferPort *sb_ = nullptr;
     WakePort *store_ready_ = nullptr;
-    const AgenPort *agen_ = nullptr;
     ReconfigUnit *reconfig_ = nullptr;
     /** Shared-L2 channel. */
     InterconnectPort &icp_;

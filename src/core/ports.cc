@@ -34,7 +34,7 @@ CorePorts::CorePorts(WakeHub &hub, CoreTiming &timing,
               dispatchCapacity(cfg, cfg.dispatchDepth())),
       disp_ls(hub, DomainId::FrontEnd, DomainId::LoadStore,
               dispatchCapacity(cfg, cfg.lsDispatchDepth())),
-      store_buffer(hub, lsq, cfg.store_buffer_entries),
+      store_buffer(hub, cfg.store_buffer_entries),
       completion(hub, timing, regs, iq_int, iq_fp, rob),
       redirect(hub, timing),
       agen(hub, timing, lsq),

@@ -436,7 +436,8 @@ class CompletionPort
         // run reaches an already-completed op the same retire call
         // evaluates it without a wake. The head retires no earlier
         // than its result is visible to the front end (the retire
-        // gate's `fe_vis`; the producer is the op's own domain).
+        // gate's visibleAt check; the producer is the op's own
+        // domain).
         if (rob_idx == rob_.headIndex())
             wake(DomainId::FrontEnd, when, producer, now);
     }
@@ -531,7 +532,8 @@ class RedirectPort
  * load/store unit: records the agen completion on the op, clears the
  * LSQ entry's agen wait in place (push wakeup — the walk stops
  * skipping exactly this entry), and wakes the load/store domain when
- * the address becomes visible there (the walk's `agen_vis` gate).
+ * the address becomes visible there (the walk's agen-visibility
+ * gate, CoreTiming::visibleAt from Integer to LoadStore).
  */
 class AgenPort
 {
@@ -544,7 +546,6 @@ class AgenPort
     agenIssued(InFlightOp &op, Tick complete, Tick now)
     {
         op.agen_done = complete;
-        ++issues_;
         LsqEntry &le = lsq_.byId(op.lsq_id);
         if (le.wait_kind == 1)
             le.wait_kind = 0;
@@ -554,14 +555,10 @@ class AgenPort
                                             complete, now));
     }
 
-    /** Agen uops issued so far (LSQ walk-summary snapshot). */
-    std::uint32_t issues() const { return issues_; }
-
   private:
     WakeHub &hub_;
     const CoreTiming &timing_;
     Lsq &lsq_;
-    std::uint32_t issues_ = 0;
 };
 
 /**
@@ -573,24 +570,22 @@ class AgenPort
 class StoreBufferPort
 {
   public:
-    StoreBufferPort(WakeHub &hub, Lsq &lsq, int entries)
-        : buffer_(entries), lsq_(lsq),
+    StoreBufferPort(WakeHub &hub, int entries)
+        : buffer_(entries),
           to_lsu_(hub, DomainId::FrontEnd, DomainId::LoadStore),
           to_fe_(hub, DomainId::LoadStore, DomainId::FrontEnd)
     {}
 
     // Retire (producer) side.
     size_t freeSlots() const { return buffer_.freeSlots(); }
-    /** Push a committed store and wake the drain side. A forwarding
-     * line appearing is the one event that can issue an MSHR-waiting
-     * load early, so the push probes the LSQ's per-line waiter index
-     * directly (the indexed replacement of the push-counter snapshot,
-     * which re-walked the whole queue on every committed store). */
+    /** Push a committed store and wake the drain side. The load/store
+     * unit walks every waiting load on each step, so a line that
+     * becomes forwardable needs no probe of its own: the wake's walk
+     * retries any MSHR-busy load to that line. */
     void
     push(Addr line_addr, Tick now)
     {
         buffer_.push(line_addr, now);
-        lsq_.wakeMshrWaiters(line_addr);
         to_lsu_.publish(now);
     }
 
@@ -618,7 +613,6 @@ class StoreBufferPort
 
   private:
     StoreBuffer buffer_;
-    Lsq &lsq_;
     WakePort to_lsu_;
     WakePort to_fe_;
 };

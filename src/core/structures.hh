@@ -91,18 +91,6 @@ struct InFlightOp
     BranchPrediction pred{};
     bool mispredict = false;
 
-    // ------------------------------------------------------------------
-    // Scheduler memos (pure caches; never change observable behavior).
-    // Epoch-tagged against CoreTiming::epoch() because the values
-    // extrapolate clock grids, which move when a PLL re-lock lands.
-    // ------------------------------------------------------------------
-    /**
-     * Memoized front-end visibility of complete_at (retire gate);
-     * kTickMax = not yet computed.
-     */
-    Tick fe_vis = kTickMax;
-    std::uint32_t fe_vis_epoch = 0;
-
     bool completed() const { return complete_at != kTickMax; }
 };
 
@@ -215,11 +203,6 @@ struct IqSlot
      * bumps (IssueQueue::invalidateTimes).
      */
     Tick ready_at = 0;
-    /** Memoized consumer-domain visibility per source (kTickMax =
-     * not yet known): fixed grid extrapolations, computed once and
-     * epoch-tagged. */
-    std::array<Tick, 2> src_vis{kTickMax, kTickMax};
-    std::array<std::uint32_t, 2> src_vis_epoch{};
     /** Waiter-chain links, one per source; kIqNotChained while the
      * source is not registered as waiting. Encoded nodes: id * 2 +
      * source index. */
@@ -294,10 +277,9 @@ class IssueQueue
     /**
      * Allocate a pool slot (stable until freeSlot). Recycled slots
      * come back structurally clean — freeSlot asserts no ring or
-     * chain membership — so only the source memos and liveness are
-     * reset here; the caller fills every identity field (rob_idx,
-     * cls, flags, sources, seq, issue_eligible) before pushing the
-     * slot anywhere.
+     * chain membership — so only liveness is set here; the caller
+     * fills every identity field (rob_idx, cls, flags, sources, seq,
+     * issue_eligible) before pushing the slot anywhere.
      */
     std::int32_t
     alloc()
@@ -311,9 +293,7 @@ class IssueQueue
             id = static_cast<std::int32_t>(slots_.size());
             slots_.emplace_back();
         }
-        IqSlot &s = slot(id);
-        s.src_vis = {kTickMax, kTickMax};
-        s.live = true;
+        slot(id).live = true;
         ++live_;
         return id;
     }
@@ -495,10 +475,9 @@ class IssueQueue
 
     /**
      * A clock-grid change landed: every memoized ready time is stale.
-     * Timed and candidate slots re-evaluate at this edge — exactly
-     * where the reference scan recomputes its per-slot memos — while
-     * chained waiters keep their lazily epoch-checked source memos
-     * (their pendingness is not a grid extrapolation).
+     * Timed and candidate slots re-evaluate at this edge, while
+     * chained waiters stay parked (their pendingness is not a grid
+     * extrapolation; they fold their sources afresh once woken).
      */
     void
     invalidateTimes()
@@ -600,9 +579,6 @@ class IssueQueue
     std::vector<std::int32_t> wait_heads_;
 };
 
-/** Null link of the LSQ blocked-load chains ("no entry"). */
-constexpr std::uint64_t kLsqNoId = ~0ULL;
-
 /** One load/store queue entry (program order). */
 struct LsqEntry
 {
@@ -615,63 +591,35 @@ struct LsqEntry
     /** Monotone allocation id; doubles as the age order. */
     std::uint64_t id = 0;
     /**
-     * Memoized load/store-domain visibility of the entry's
-     * address-generation completion; kTickMax = not yet computed.
-     * Epoch-tagged like InFlightOp's memos.
-     */
-    Tick agen_vis = kTickMax;
-    std::uint32_t agen_vis_epoch = 0;
-    /**
-     * Wakeup index for the per-edge LSQ walks. What the entry is
-     * provably waiting for, so the walk can skip it with one or two
-     * compares — each bound is *per entry*, so no event anywhere else
-     * in the queue forces this entry to re-evaluate:
-     *   0 — nothing recorded; evaluate fully.
-     *   1 — this op's address generation has not issued; cleared
-     *       directly by the issue path when it does (push wakeup via
-     *       InFlightOp::lsq_id).
-     *   2 — a load attempt failed on a busy MSHR; recheck once
-     *       `wait_until` (the exact MSHR free time, which never moves
-     *       earlier) passes, or when a store-buffer push of the same
-     *       line makes the load forwardable — the only such event,
-     *       since MshrBusy implies it has no older same-line store in
-     *       the queue. The per-line waiter index (Lsq::wakeMshrWaiters)
-     *       wakes exactly those loads, so unrelated pushes no longer
-     *       re-walk the queue.
-     *   3 — a load blocked on a specific older same-line store that
-     *       lacks its data; chained on that store (`next_blocked`)
-     *       and cleared by its data capture or its retirement
-     *       (Lsq::wakeBlockedOn), never by unrelated events.
+     * 1 while this op's address generation has not issued, so the
+     * walk skips the entry with one compare; cleared directly by the
+     * issue path when it does (push wakeup via InFlightOp::lsq_id).
+     * 0 = evaluate fully. Every other wait (agen visibility, a busy
+     * MSHR, an older same-line store without data) is re-checked on
+     * each walk.
      */
     std::uint8_t wait_kind = 0;
-    /** Kind-2 only: this entry's slot in the MSHR-waiter index. */
-    std::uint32_t mshr_wait_pos = 0;
-    Tick wait_until = kTickMax;
     /** Stores: data captured (mirrors InFlightOp::store_ready; read
      * by the per-load disambiguation scan). */
     bool data_ready = false;
-    /** Stores: head of the chain of loads blocked on this store. */
-    std::uint64_t blocked_head = kLsqNoId;
-    /** Loads: next load blocked on the same store (kind 3). */
-    std::uint64_t next_blocked = kLsqNoId;
 };
 
 /**
- * Program-ordered load/store queue with indexed wakeup paths.
+ * Program-ordered load/store queue.
  *
- * Entries are addressed by a monotone allocation id (the deque only
+ * Entries are addressed by a monotone allocation id (the queue only
  * ever pops from the front, so id - firstId() is the position). Three
- * side indexes keep the per-edge work proportional to the number of
- * entries that can actually change state, not the queue occupancy:
+ * side lists keep the per-edge work proportional to the entries that
+ * can still change state, not the queue occupancy:
  *
  *  - pendingStores(): ids of stores whose data is not yet captured
  *    (the store-ready scan walks only these);
  *  - waitingLoads(): ids of loads not yet issued to the cache;
- *  - a per-line map of in-queue stores, replacing the O(n) per-load
- *    (O(n^2) per edge) disambiguation scan with one lookup.
+ *  - a flat age-ordered list of in-queue stores (line, id), so the
+ *    per-load disambiguation scan touches only stores.
  *
  * The caller owns compaction of the two id lists (it knows which
- * entries changed state while iterating); the per-line map is
+ * entries changed state while iterating); the store list is
  * maintained here.
  */
 class Lsq
@@ -735,9 +683,6 @@ class Lsq
         GALS_ASSERT(!empty(), "LSQ pop of empty queue");
         LsqEntry &e = front();
         if (e.is_store) {
-            // A store leaving the queue leaves the older-store set of
-            // every load chained on it: wake exactly those.
-            wakeBlockedOn(e);
             GALS_ASSERT(stores_head_ < stores_.size() &&
                             stores_[stores_head_].id == e.id,
                         "LSQ store index out of sync at pop");
@@ -781,14 +726,8 @@ class Lsq
         Blocked,  //!< some older store still lacks its data.
     };
 
-    /**
-     * @param blocker receives the id of the first older same-line
-     *        store lacking data when the result is Blocked (the load
-     *        chains on exactly that store).
-     */
     OlderStores
-    olderStores(Addr line_addr, std::uint64_t load_id,
-                std::uint64_t *blocker = nullptr) const
+    olderStores(Addr line_addr, std::uint64_t load_id) const
     {
         bool any = false;
         for (size_t i = stores_head_; i < stores_.size(); ++i) {
@@ -797,128 +736,16 @@ class Lsq
                 break; // ids ascend: the rest are younger.
             if (rec.line != line_addr)
                 continue;
-            if (!byId(rec.id).data_ready) {
-                if (blocker != nullptr)
-                    *blocker = rec.id;
+            if (!byId(rec.id).data_ready)
                 return OlderStores::Blocked;
-            }
             any = true;
         }
         return any ? OlderStores::AllReady : OlderStores::None;
     }
 
-    /** Chain a kind-3 blocked load onto its blocking store. */
-    void
-    addBlockedWaiter(std::uint64_t store_id, std::uint64_t load_id)
-    {
-        LsqEntry &store = byId(store_id);
-        LsqEntry &load = byId(load_id);
-        GALS_ASSERT(store.is_store && !store.data_ready &&
-                        load.next_blocked == kLsqNoId,
-                    "LSQ blocked-load chain misuse");
-        load.next_blocked = store.blocked_head;
-        store.blocked_head = load_id;
-    }
-
-    /**
-     * The blocking condition of `store` resolved (data captured, or
-     * the store retires out of the queue): clear the wait memo of
-     * exactly the loads chained on it. Bumps the wake counter the
-     * walk summary snapshots, so the next step re-walks.
-     */
-    void
-    wakeBlockedOn(LsqEntry &store)
-    {
-        std::uint64_t node = store.blocked_head;
-        if (node == kLsqNoId)
-            return;
-        store.blocked_head = kLsqNoId;
-        while (node != kLsqNoId) {
-            LsqEntry &load = byId(node);
-            node = load.next_blocked;
-            load.next_blocked = kLsqNoId;
-            load.wait_kind = 0;
-        }
-        ++wake_events_;
-    }
-
-    /** Indexed wake events so far (walk-summary snapshot): blocked-
-     * load chain wakes plus matching-line MSHR-waiter wakes. */
-    std::uint32_t wakeEvents() const { return wake_events_; }
-
-    /**
-     * Register a kind-2 (MSHR-busy) load in the per-line waiter
-     * index. A store-buffer push of the same line is the only event
-     * that can issue the load before its recorded MSHR free time, so
-     * pushes probe exactly this list — replacing the push-counter
-     * snapshot that forced a full queue re-walk on every committed
-     * store. The entry memoizes its slot for O(1) removal.
-     */
-    void
-    addMshrWaiter(std::uint64_t load_id)
-    {
-        LsqEntry &e = byId(load_id);
-        e.mshr_wait_pos =
-            static_cast<std::uint32_t>(mshr_waiters_.size());
-        mshr_waiters_.push_back(MshrWaiter{e.line_addr, load_id});
-    }
-
-    /** Drop a kind-2 waiter whose memo the walk is clearing. */
-    void
-    removeMshrWaiter(LsqEntry &e)
-    {
-        size_t pos = e.mshr_wait_pos;
-        GALS_ASSERT(pos < mshr_waiters_.size() &&
-                        mshr_waiters_[pos].id == e.id,
-                    "LSQ MSHR-waiter index out of sync");
-        const MshrWaiter &back = mshr_waiters_.back();
-        if (back.id != e.id) {
-            byId(back.id).mshr_wait_pos =
-                static_cast<std::uint32_t>(pos);
-            mshr_waiters_[pos] = back;
-        }
-        mshr_waiters_.pop_back();
-    }
-
-    /**
-     * A committed store to `line` entered the store buffer: clear
-     * the wait memo of exactly the MSHR-busy loads the line makes
-     * forwardable. Bumps the wake counter only when some waiter
-     * matched, so unrelated pushes leave the walk summary (and the
-     * sleeping domain's wake bound) alone.
-     */
-    void
-    wakeMshrWaiters(Addr line)
-    {
-        bool any = false;
-        for (size_t i = mshr_waiters_.size(); i-- > 0;) {
-            if (mshr_waiters_[i].line != line)
-                continue;
-            LsqEntry &e = byId(mshr_waiters_[i].id);
-            GALS_ASSERT(e.wait_kind == 2,
-                        "LSQ MSHR-waiter index holds a non-waiting "
-                        "entry");
-            e.wait_kind = 0;
-            removeMshrWaiter(e);
-            any = true;
-        }
-        if (any)
-            ++wake_events_;
-    }
-
-    /** Live kind-2 waiters (tests pin the index's bookkeeping). */
-    size_t mshrWaiterCount() const { return mshr_waiters_.size(); }
-
     /** One in-queue store, in age order (flat: the disambiguation
      * scan touches only this dense list). */
     struct StoreRec
-    {
-        Addr line = 0;
-        std::uint64_t id = 0;
-    };
-
-    /** One kind-2 waiter of the per-line MSHR-wait index. */
-    struct MshrWaiter
     {
         Addr line = 0;
         std::uint64_t id = 0;
@@ -981,10 +808,6 @@ class Lsq
     size_t stores_head_ = 0;
     std::vector<std::uint64_t> pending_stores_;
     std::vector<std::uint64_t> waiting_loads_;
-    /** Kind-2 waiters, probed by store-buffer pushes (dense; each
-     * entry memoizes its slot in mshr_wait_pos). */
-    std::vector<MshrWaiter> mshr_waiters_;
-    std::uint32_t wake_events_ = 0;
 };
 
 /** A committed store waiting to write the cache. */
@@ -994,7 +817,8 @@ struct StoreWrite
     Tick ready_at = 0;
 };
 
-/** Post-commit store buffer with an O(1) line-occupancy index. */
+/** Post-commit store buffer: a flat ring with a linear forwarding
+ * probe. */
 class StoreBuffer
 {
   public:

@@ -144,8 +144,8 @@ randomMachine(Pcg32 &rng)
     // Port-pressure shape knobs: small dispatch FIFOs exercise the
     // pop-from-full producer wakes of the dispatch ports, small
     // store buffers the drain port's full transition, few MSHRs the
-    // per-entry MSHR time bounds and blocked-load chains of the LSQ
-    // walk, and narrow fetch/decode the group-boundary gates. These
+    // LSQ walk's MSHR-busy and blocked-load retries and their sleep
+    // bounds, and narrow fetch/decode the group-boundary gates. These
     // stack with the phase-adaptive controller draws above, so the
     // domain/port wiring is exercised under re-locks too.
     if (rng.chance(0.5)) {

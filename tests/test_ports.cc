@@ -142,8 +142,7 @@ TEST(Ports, StoreBufferPortWakesFrontEndOnPopFromFull)
     for (int d = 0; d < kNumDomains; ++d)
         fabric.setBound(d, kTickMax);
 
-    Lsq lsq(8);
-    StoreBufferPort sb(hub, lsq, 2);
+    StoreBufferPort sb(hub, 2);
     sb.push(0x10, 1000);
     EXPECT_EQ(fabric.bound(3), 1000u); // drain side woken at push tick.
 
@@ -155,50 +154,6 @@ TEST(Ports, StoreBufferPortWakesFrontEndOnPopFromFull)
     EXPECT_TRUE(sb.full());
     sb.pop(4000); // pop-from-full unblocks retire, strictly after.
     EXPECT_EQ(fabric.bound(0), 4001u);
-}
-
-TEST(Ports, StoreBufferPushWakesMatchingMshrWaitersOnly)
-{
-    std::array<Clock, 4> clocks = testClocks();
-    WakeFabric fabric(clocks.data(), kNumDomains);
-    WakeHub hub(fabric, 0, kNumDomains);
-    for (int d = 0; d < kNumDomains; ++d)
-        fabric.setBound(d, kTickMax);
-
-    // Two MSHR-waiting (kind-2) loads on distinct lines.
-    Lsq lsq(8);
-    std::uint64_t a = lsq.allocate(0, false, 0x10);
-    std::uint64_t b = lsq.allocate(1, false, 0x20);
-    lsq.byId(a).wait_kind = 2;
-    lsq.addMshrWaiter(a);
-    lsq.byId(b).wait_kind = 2;
-    lsq.addMshrWaiter(b);
-    ASSERT_EQ(lsq.mshrWaiterCount(), 2u);
-    std::uint32_t wakes = lsq.wakeEvents();
-
-    StoreBufferPort sb(hub, lsq, 4);
-
-    // A push of an unrelated line wakes nobody: the walk summary's
-    // wake snapshot stays valid, so the sleeping domain is not forced
-    // through a full queue re-walk.
-    sb.push(0x30, 1000);
-    EXPECT_EQ(lsq.wakeEvents(), wakes);
-    EXPECT_EQ(lsq.byId(a).wait_kind, 2);
-    EXPECT_EQ(lsq.byId(b).wait_kind, 2);
-    EXPECT_EQ(lsq.mshrWaiterCount(), 2u);
-
-    // A matching-line push clears exactly that waiter's memo and
-    // bumps the wake counter once.
-    sb.push(0x10, 2000);
-    EXPECT_EQ(lsq.wakeEvents(), wakes + 1);
-    EXPECT_EQ(lsq.byId(a).wait_kind, 0);
-    EXPECT_EQ(lsq.byId(b).wait_kind, 2);
-    EXPECT_EQ(lsq.mshrWaiterCount(), 1u);
-
-    // The swap-removal kept the survivor's slot memo coherent: an
-    // explicit removal (the wait_until expiry path) still finds it.
-    lsq.removeMshrWaiter(lsq.byId(b));
-    EXPECT_EQ(lsq.mshrWaiterCount(), 0u);
 }
 
 TEST(Ports, EpochBumpBroadcastFollowsReferenceOrder)

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 #include <thread>
 
+#include "cmp/chip.hh"
 #include "core/scheduler.hh"
+#include "obs/metrics.hh"
 #include "sim/parallel.hh"
 #include "sim/report.hh"
 #include "sim/simulation.hh"
@@ -190,6 +193,82 @@ TEST(Kernel, FromEnv)
             << err;
     }
     unsetenv("GALS_KERNEL");
+}
+
+/**
+ * The event kernel's sleep schedule, pinned exactly. A wasted step or
+ * a missed skip changes no simulated byte, so no digest or golden can
+ * see it; only these counts can. gzip and art run 20k-instruction
+ * windows on the three paper machines, plus one 4-core
+ * producer-consumer gzip chip (coherence wakes). A kernel or domain
+ * change that moves a count re-pins it under the golden-update
+ * policy (docs/testing.md) and says which count moved and why.
+ */
+TEST(KernelCounters, PinnedSleepSchedule)
+{
+    struct Pin
+    {
+        const char *label;
+        std::array<std::uint64_t, kNumDomains> steps;
+        std::array<std::uint64_t, kNumDomains> skipped;
+    };
+    // Order: fe, int, fp, ls (DomainId).
+    const Pin pins[] = {
+        {"gzip/sync", {7299, 11285, 1, 8559}, {60536, 56549, 0, 59275}},
+        {"gzip/mcd", {7458, 11925, 1, 8811}, {76405, 66839, 0, 73064}},
+        {"gzip/phase", {7506, 11756, 4, 7758},
+         {74178, 75169, 61113, 62951}},
+        {"art/sync", {12957, 19618, 1, 11304},
+         {149567, 142829, 0, 151142}},
+        {"art/mcd", {13113, 19728, 1, 11336},
+         {189567, 170540, 0, 186446}},
+        {"art/phase", {12915, 19733, 2, 10483},
+         {207340, 187039, 53995, 148119}},
+        {"gzip/pc4", {31302, 55901, 4, 38498},
+         {574949, 513491, 0, 553380}},
+    };
+
+    obs::MetricsRegistry &m = obs::MetricsRegistry::instance();
+    auto expectPinned = [&](const Pin &pin) {
+        SCOPED_TRACE(pin.label);
+        std::array<std::uint64_t, kNumDomains> steps{}, skipped{};
+        for (int d = 0; d < kNumDomains; ++d) {
+            const std::string kind = domainTag(static_cast<DomainId>(d));
+            steps[static_cast<size_t>(d)] =
+                m.value("kernel.steps." + kind);
+            skipped[static_cast<size_t>(d)] =
+                m.value("kernel.skipped_edges." + kind);
+        }
+        EXPECT_EQ(steps, pin.steps);
+        EXPECT_EQ(skipped, pin.skipped);
+        m.clear();
+    };
+
+    WorkloadParams gzip = findBenchmark("gzip");
+    gzip.sim_instrs = 20'000;
+    gzip.warmup_instrs = 2'000;
+    WorkloadParams art = findBenchmark("art");
+    art.sim_instrs = 20'000;
+    art.warmup_instrs = 2'000;
+    const MachineConfig machines[] = {MachineConfig::bestSynchronous(),
+                                      MachineConfig::mcdProgram({}),
+                                      MachineConfig::mcdPhaseAdaptive()};
+    m.clear();
+    size_t next = 0;
+    for (const WorkloadParams *wl : {&gzip, &art}) {
+        for (const MachineConfig &mc : machines) {
+            simulateWithKernel(mc, *wl, Kernel::EventDriven);
+            expectPinned(pins[next++]);
+        }
+    }
+
+    ChipConfig cc;
+    cc.machine = MachineConfig::mcdProgram({});
+    cc.cores = 4;
+    Chip chip(cc, sharingMix(gzip, 4, "producer-consumer"));
+    chip.setKernel(Kernel::EventDriven);
+    chip.run();
+    expectPinned(pins[next]);
 }
 
 TEST(Sweep, StagedSearchImprovesOnBase)
