@@ -371,3 +371,86 @@ TEST(Report, ReconfigTraceRendering)
     // Both levels appear as drawn rows.
     EXPECT_NE(s.find('#'), std::string::npos);
 }
+
+TEST(Report, SweepJsonFormatsArePinned)
+{
+    // Hand-made rows, no simulation: every sweep writer's bytes are
+    // pinned literally (doubles print with %.17g, so 0.1 shows its
+    // full expansion). Golden policy: docs/testing.md.
+    StudyResult study;
+    study.mode = SweepMode::Staged;
+    BenchmarkResult b;
+    b.name = "gzip";
+    b.suite = "SPEC2000 Int";
+    b.sync_ns = 1234.5;
+    b.program_ns = 0.1;
+    b.phase_ns = 1e21;
+    b.program_cfg = AdaptiveConfig{1, 2, 3, 0};
+    b.phase_stats.committed = 99; // carried, never written.
+    b.runs = 14;
+    study.benchmarks = {b, BenchmarkResult{}};
+    EXPECT_EQ(studyJson(study), R"({
+  "sweep": "study",
+  "mode": "staged",
+  "benchmarks": 2,
+  "rows": [
+    {"index": 0, "name": "gzip", "suite": "SPEC2000 Int", "sync_ns": 1234.5, "program_ns": 0.10000000000000001, "phase_ns": 1e+21, "cfg": "I1 D2 Qi3 Qf0", "runs": 14},
+    {"index": 1, "name": "", "suite": "", "sync_ns": 0, "program_ns": 0, "phase_ns": 0, "cfg": "I0 D0 Qi0 Qf0", "runs": 0}
+  ]
+}
+)");
+
+    std::vector<SyncPointRuntimes> sync = {
+        SyncPointRuntimes{3, 1, 0, 2, {1.5, 2.25}},
+        SyncPointRuntimes{15, 3, 3, 3, {}}};
+    EXPECT_EQ(syncSweepJson(sync, 2, true), R"({
+  "sweep": "synchronous",
+  "full": true,
+  "benchmarks": 2,
+  "rows": [
+    {"index": 0, "icache_opt": 3, "dcache": 1, "iq_int": 0, "iq_fp": 2, "runtime_ns": [1.5, 2.25]},
+    {"index": 1, "icache_opt": 15, "dcache": 3, "iq_int": 3, "iq_fp": 3, "runtime_ns": []}
+  ]
+}
+)");
+
+    std::vector<AdaptivePointRuntime> adaptive = {
+        AdaptivePointRuntime{AdaptiveConfig{0, 1, 2, 3}, 7.0 / 3.0},
+        AdaptivePointRuntime{AdaptiveConfig{3, 3, 3, 3}, 0.0}};
+    EXPECT_EQ(adaptiveSweepJson(adaptive, "art"), R"({
+  "sweep": "adaptive",
+  "benchmark": "art",
+  "points": 256,
+  "rows": [
+    {"index": 0, "cfg": "I0 D1 Qi2 Qf3", "runtime_ns": 2.3333333333333335},
+    {"index": 1, "cfg": "I3 D3 Qi3 Qf3", "runtime_ns": 0}
+  ]
+}
+)");
+
+    CmpPointResult c;
+    c.cores = 2;
+    c.rotation = 1;
+    c.chip_ns = 5e-324;
+    c.core_ns = {4.0, 4.5};
+    c.l2_misses = 18446744073709551615ULL;
+    c.bank_conflicts = 7;
+    EXPECT_EQ(cmpSweepJson({c, CmpPointResult{}}, 4, {2, 16}), R"({
+  "sweep": "cmp",
+  "benchmarks": 4,
+  "core_counts": [2, 16],
+  "rows": [
+    {"index": 0, "cores": 2, "rotation": 1, "chip_ns": 4.9406564584124654e-324, "l2_misses": 18446744073709551615, "bank_conflicts": 7, "core_ns": [4, 4.5]},
+    {"index": 1, "cores": 1, "rotation": 0, "chip_ns": 0, "l2_misses": 0, "bank_conflicts": 0, "core_ns": []}
+  ]
+}
+)");
+    EXPECT_EQ(cmpSweepJson({}, 0, {}), R"({
+  "sweep": "cmp",
+  "benchmarks": 0,
+  "core_counts": [],
+  "rows": [
+  ]
+}
+)");
+}
