@@ -24,7 +24,7 @@ namespace
 
 void
 sweepStructure(const WorkloadParams &wl, const char *title,
-               int AdaptiveConfig::*field, Structure structure)
+               Structure structure)
 {
     TextTable t(title);
     t.setHeader({"config", "domain GHz", "runtime ns", "instr/ns",
@@ -32,21 +32,15 @@ sweepStructure(const WorkloadParams &wl, const char *title,
     double base_ns = 0.0;
     for (int idx = 0; idx < kNumAdaptiveConfigs; ++idx) {
         AdaptiveConfig cfg{};
-        cfg.*field = idx;
+        cfg[structure] = idx;
         MachineConfig m = MachineConfig::mcdProgram(cfg);
         RunStats s = simulate(m, wl);
         double ns = runtimeNs(s);
         if (idx == 0)
             base_ns = ns;
-        DomainId dom =
-            field == &AdaptiveConfig::icache ? DomainId::FrontEnd
-            : field == &AdaptiveConfig::dcache
-                ? DomainId::LoadStore
-                : field == &AdaptiveConfig::iq_int
-                      ? DomainId::Integer
-                      : DomainId::FloatingPoint;
         t.addRow({configLabel(structure, idx),
-                  csprintf("%.3f", m.domainFreqGHz(dom, cfg)),
+                  csprintf("%.3f",
+                           m.domainFreqGHz(domainOf(structure), cfg)),
                   csprintf("%.0f", ns),
                   csprintf("%.2f", s.instrsPerNs()),
                   csprintf("%+.1f%%", 100.0 * (base_ns / ns - 1.0))});
@@ -67,13 +61,13 @@ main(int argc, char **argv)
                 wl.name.c_str());
 
     sweepStructure(wl, "I-cache / branch predictor (front-end domain)",
-                   &AdaptiveConfig::icache, Structure::ICache);
+                   Structure::ICache);
     sweepStructure(wl, "L1D/L2 cache pair (load/store domain)",
-                   &AdaptiveConfig::dcache, Structure::DCachePair);
+                   Structure::DCachePair);
     sweepStructure(wl, "integer issue queue (integer domain)",
-                   &AdaptiveConfig::iq_int, Structure::IntIssueQueue);
+                   Structure::IntIssueQueue);
     sweepStructure(wl, "fp issue queue (floating-point domain)",
-                   &AdaptiveConfig::iq_fp, Structure::FpIssueQueue);
+                   Structure::FpIssueQueue);
 
     RunStats sync =
         simulate(MachineConfig::bestSynchronous(), wl);

@@ -634,11 +634,7 @@ scoreStudy(const StudyResult &r)
     score("fig6.phase_ties", num(r.benchmarks.size() - wins - losses),
           f6);
 
-    const Structure structures[] = {Structure::IntIssueQueue,
-                                    Structure::FpIssueQueue,
-                                    Structure::DCachePair,
-                                    Structure::ICache};
-    for (Structure s : structures) {
+    for (Structure s : kTable9Columns) {
         for (int k = 0; k < kNumAdaptiveConfigs; ++k) {
             score(csprintf("table9.%s.%s", structureName(s),
                            configLabel(s, k).c_str()),
@@ -652,7 +648,7 @@ scoreStudy(const StudyResult &r)
         minstr += static_cast<double>(b.phase_stats.committed) / 1e6;
         relocks += static_cast<double>(b.phase_stats.relocks);
     }
-    for (Structure s : structures) {
+    for (Structure s : kTable9Columns) {
         double events = 0.0;
         for (const BenchmarkResult &b : r.benchmarks)
             events += b.phase_stats.trace.countFor(s);
@@ -695,9 +691,7 @@ printTrace(const char *bench, Structure s, const char *title)
                                     wl.warmup_instrs + wl.sim_instrs)
                     .c_str());
     std::printf("  residency (committed instrs per config):");
-    const auto &res = s == Structure::DCachePair
-                          ? stats.dcache_residency
-                          : stats.iq_int_residency;
+    const auto &res = stats.residency[static_cast<size_t>(s)];
     for (size_t i = 0; i < res.size(); ++i) {
         std::printf(" [%zu]=%llu", i,
                     static_cast<unsigned long long>(res[i]));

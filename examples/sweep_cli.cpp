@@ -36,6 +36,10 @@
  * store is active. `--resume` is an explicit resume request: it
  * fails fast when no usable cache directory is configured (without
  * it, a dead cache dir degrades to a cold run with a warning).
+ *
+ * Tracing and metrics are the process-wide GALS_TRACE and GALS_METRICS
+ * files (docs/observability.md); the metrics file carries the result
+ * store's `result_store.*` counters.
  */
 
 #include <climits>
@@ -50,7 +54,6 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "core/ports.hh"
-#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/report.hh"
 #include "sim/result_store.hh"
@@ -73,7 +76,6 @@ usage()
         "                 [--benchmarks N] [--bench NAME]\n"
         "                 [--cores LIST] [--sim INSTRS]\n"
         "                 [--warmup INSTRS] [--cache-dir DIR]\n"
-        "                 [--trace-out FILE] [--metrics-out FILE]\n"
         "                 [--resume] [--full] [--verbose]\n");
     return 2;
 }
@@ -107,8 +109,6 @@ main(int argc, char **argv)
     std::string cores = "1,2,4,8,16";
     std::string out_path;
     std::string cache_dir;
-    std::string trace_out;
-    std::string metrics_out;
     size_t benchmarks = 0; // 0 = whole suite.
     std::uint64_t sim_instrs = 0;
     std::uint64_t warmup_instrs = ~0ULL;
@@ -146,10 +146,6 @@ main(int argc, char **argv)
                 parseIntegerArg("--warmup", value(), 0, LLONG_MAX));
         } else if (arg == "--cache-dir") {
             cache_dir = value();
-        } else if (arg == "--trace-out") {
-            trace_out = value();
-        } else if (arg == "--metrics-out") {
-            metrics_out = value();
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--full") {
@@ -170,15 +166,15 @@ main(int argc, char **argv)
             fatal("cannot write '%s'", out_path.c_str());
     }
 
+    // Arm GALS_TRACE and GALS_METRICS now: a bad path warns before
+    // the sweep, and a fully warm sweep that runs no chip still
+    // writes its metrics.
+    obs::ensureInitFromEnv();
+
     // --cache-dir overrides GALS_RESULT_CACHE; either enables the
     // content-addressed result store for every leaf simulation below.
     if (!cache_dir.empty())
         configureResultStore(cache_dir);
-    // --trace-out overrides GALS_TRACE (same logged-fallback
-    // contract: a bad path warns once and tracing stays off). The
-    // trace itself is written by the tracer's at-exit exporter.
-    if (!trace_out.empty())
-        obs::Tracer::instance().configure(trace_out);
     if (resume && !resultStore().enabled()) {
         fatal("--resume needs a usable result cache (give --cache-dir "
               "or set GALS_RESULT_CACHE)");
@@ -240,12 +236,8 @@ main(int argc, char **argv)
                      resultStore().statsLine().c_str());
     }
 
-    // --metrics-out: the machine-readable telemetry surface — chip
-    // and sweep counters accumulated above plus the result store's
-    // folded stats (obs/metrics.hh).
-    if (!metrics_out.empty()) {
-        resultStore().publishMetrics();
-        obs::MetricsRegistry::instance().writeTo(metrics_out);
-    }
+    // The store's counters join the metrics registry, which
+    // GALS_METRICS writes at exit (obs/metrics.hh).
+    resultStore().publishMetrics();
     return 0;
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Validate a GALS Chrome trace-event export (docs/observability.md).
 
-Checks that the file the tracer wrote under ``GALS_TRACE`` /
-``--trace-out`` is what a trace viewer (Perfetto, chrome://tracing)
-and the CI acceptance gate expect:
+Checks that the file the tracer wrote under ``GALS_TRACE`` is what a
+trace viewer (Perfetto, chrome://tracing) and the CI acceptance gate
+expect:
 
  - it parses as one JSON object with the ``gals-trace-v1`` schema
    marker and a ``traceEvents`` array;

@@ -101,7 +101,6 @@ class SharedL2
     const MainMemory &memory() const { return memory_; }
     /** Active configuration row (owned by core 0's controller). */
     int row() const { return row_; }
-    int banks() const { return static_cast<int>(banks_.size()); }
     int bankOf(Addr addr) const
     {
         // Power-of-two bank counts (every config the sweeps and

@@ -77,6 +77,18 @@ class SyncFifo
      */
     Tick frontVisibleAt() const { return slots_[head_].visible_at; }
 
+    /** True when any queued entry, visible or not, equals `v` (a
+     * linear scan: the FIFOs hold a few entries in a flat ring). */
+    bool
+    contains(const T &v) const
+    {
+        for (size_t i = 0; i < count_; ++i) {
+            if (slots_[wrap(head_ + i)].value == v)
+                return true;
+        }
+        return false;
+    }
+
     /** Remove the head entry. */
     void
     pop()

@@ -121,7 +121,7 @@ buildEpochTable(const std::vector<std::unique_ptr<Core>> &cores)
 } // namespace
 
 Chip::Chip(const ChipConfig &config,
-           const std::vector<WorkloadParams> &workloads)
+           const std::vector<WorkloadParams> &workloads, Kernel kernel)
     : cfg_(config), clocks_(buildClocks(config)),
       fabric_(clocks_.data(), config.cores * kNumDomains),
       l2_(sharedL2Params(config, workloads)),
@@ -132,7 +132,7 @@ Chip::Chip(const ChipConfig &config,
       scheduler_(domain_table_.data(), clocks_.data(),
                  cfg_.cores * kNumDomains, fabric_,
                  epoch_table_.data()),
-      kernel_(kernelFromEnv())
+      kernel_(kernel)
 {
     // Coherence invalidations wake remote cores through the fabric.
     icp_.attachFabric(&fabric_);

@@ -124,16 +124,15 @@ class Chip
   public:
     /** `workloads.size()` must equal `config.cores`; use
      * multiprogrammedMix (workload/suite.hh) to build mixes whose
-     * per-core RNG streams are independent. */
+     * per-core RNG streams are independent. `kernel` defaults to
+     * GALS_KERNEL's choice, read once per chip. */
     Chip(const ChipConfig &config,
-         const std::vector<WorkloadParams> &workloads);
+         const std::vector<WorkloadParams> &workloads,
+         Kernel kernel = kernelFromEnv());
 
     /** Run every core's warmup + measured window; return per-core and
      * chip-level statistics. */
     ChipRunStats run();
-
-    /** Force a specific scheduler (tests; overrides GALS_KERNEL). */
-    void setKernel(Kernel k) { kernel_ = k; }
 
     /** Deep structural invariant checks on every core (see
      * Core::setInvariantCheckInterval). */
@@ -152,7 +151,7 @@ class Chip
     std::vector<EpochBumpPort *> epoch_table_;
     DomainScheduler scheduler_;
 
-    Kernel kernel_;
+    const Kernel kernel_;
 };
 
 } // namespace gals

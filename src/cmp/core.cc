@@ -37,11 +37,11 @@ Core::Core(const MachineConfig &config, const WorkloadParams &wl,
       core_index_(core_index),
       timing_(clocks, config.mode == ClockingMode::Synchronous),
       hub_(fabric, core_index * kNumDomains, kNumDomains),
-      fe_(cfg_, cur_cfg_, timing_, wl_params_, stats_),
-      int_cluster_(DomainId::Integer, cfg_, timing_, fe_.rob(),
-                   fe_.regs(), cur_cfg_.iq_int),
-      fp_cluster_(DomainId::FloatingPoint, cfg_, timing_, fe_.rob(),
-                  fe_.regs(), cur_cfg_.iq_fp),
+      fe_(cfg_, cur_cfg_, timing_, wl_params_),
+      int_cluster_(DomainId::Integer, cfg_, cur_cfg_, timing_,
+                   fe_.rob(), fe_.regs()),
+      fp_cluster_(DomainId::FloatingPoint, cfg_, cur_cfg_, timing_,
+                  fe_.rob(), fe_.regs()),
       lsu_(cfg_, cur_cfg_, timing_, fe_.rob(), icp, core_index),
       ports_(hub_, timing_, cfg_, fe_.regs(), int_cluster_.iq(),
              fp_cluster_.iq(), fe_.rob(), lsu_.lsq()),
@@ -54,11 +54,11 @@ Core::Core(const MachineConfig &config, const WorkloadParams &wl,
     int_cluster_.wire(ports_, reconfig_);
     fp_cluster_.wire(ports_, reconfig_);
     lsu_.wire(ports_, reconfig_);
-    reconfig_.attachDomains(fe_, int_cluster_, fp_cluster_, lsu_);
+    reconfig_.attachDomains(domain_table_);
     reconfig_.setTraceBase(core_index_ * kNumDomains);
     for (Domain *d : domain_table_)
         d->attachPending(&reconfig_.pending(d->id()));
-    fe_.onMeasureStart([this](Tick now) { snapshotBaselines(now); });
+    fe_.onMeasureStart([this](Tick now) { base_ = counters(now); });
 
     if (wl_params_.warmup_instrs == 0)
         fe_.beginMeasurementAtZero();
@@ -70,27 +70,45 @@ Core::setInvariantCheckInterval(std::uint32_t every)
     fe_.setInvariantCheck([this]() { validateInvariants(); }, every);
 }
 
-void
-Core::snapshotBaselines(Tick)
+RunStats
+Core::counters(Tick now) const
 {
-    base_.l1i_acc = fe_.l1i().totalAccesses();
-    base_.l1i_miss = fe_.l1i().totalMisses();
-    base_.l1i_b = fe_.l1i().totalBHits();
-    base_.l1d_acc = lsu_.l1d().totalAccesses();
-    base_.l1d_miss = lsu_.l1d().totalMisses();
-    base_.l1d_b = lsu_.l1d().totalBHits();
-    base_.l2_acc = lsu_.l2TotalAccesses();
-    base_.l2_miss = lsu_.l2TotalMisses();
-    base_.l2_b = lsu_.l2TotalBHits();
-    base_.bp_lookups = fe_.predictor().lookups();
-    base_.bp_miss = fe_.predictor().mispredicts();
-    base_.flushes = fe_.flushes();
-    base_.relocks = reconfig_.relocks();
+    RunStats c;
+    c.committed = fe_.committed();
+    c.time_ps = now;
+    c.l1i_accesses = fe_.l1i().totalAccesses();
+    c.l1i_misses = fe_.l1i().totalMisses();
+    c.l1i_b_hits = fe_.l1i().totalBHits();
+    c.l1d_accesses = lsu_.l1d().totalAccesses();
+    c.l1d_misses = lsu_.l1d().totalMisses();
+    c.l1d_b_hits = lsu_.l1d().totalBHits();
+    c.l2_accesses = lsu_.l2TotalAccesses();
+    c.l2_misses = lsu_.l2TotalMisses();
+    c.l2_b_hits = lsu_.l2TotalBHits();
+    c.branches = fe_.predictor().lookups();
+    c.mispredicts = fe_.predictor().mispredicts();
+    c.flushes = fe_.flushes();
+    c.relocks = reconfig_.relocks();
+    return c;
 }
 
-void
-Core::finalizeStats(RunStats &stats) const
+CoreProgress
+Core::progressStop() const
 {
+    return CoreProgress{&committedRef(), targetInstrs()};
+}
+
+RunStats
+Core::collectStats() const
+{
+    // Every std::uint64_t field is a window counter: its growth since
+    // the window opened.
+    RunStats stats = counters(fe_.lastCommitTime());
+    forEachFieldPair(stats, base_, [](const char *, auto &v, const auto &b) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(b)>,
+                                     std::uint64_t>)
+            v -= b;
+    });
     stats.benchmark = wl_params_.name;
     stats.config =
         cfg_.mode == ClockingMode::Synchronous
@@ -102,38 +120,9 @@ Core::finalizeStats(RunStats &stats) const
             : csprintf("%s(%s)",
                        cfg_.phase_adaptive ? "phase" : "mcd",
                        cfg_.adaptive.str().c_str());
-
-    stats.committed = fe_.committed() - fe_.measureCommittedBase();
-    stats.time_ps = fe_.lastCommitTime() - fe_.measureStart();
-
-    stats.l1i_accesses = fe_.l1i().totalAccesses() - base_.l1i_acc;
-    stats.l1i_misses = fe_.l1i().totalMisses() - base_.l1i_miss;
-    stats.l1i_b_hits = fe_.l1i().totalBHits() - base_.l1i_b;
-    stats.l1d_accesses = lsu_.l1d().totalAccesses() - base_.l1d_acc;
-    stats.l1d_misses = lsu_.l1d().totalMisses() - base_.l1d_miss;
-    stats.l1d_b_hits = lsu_.l1d().totalBHits() - base_.l1d_b;
-    stats.l2_accesses = lsu_.l2TotalAccesses() - base_.l2_acc;
-    stats.l2_misses = lsu_.l2TotalMisses() - base_.l2_miss;
-    stats.l2_b_hits = lsu_.l2TotalBHits() - base_.l2_b;
-    stats.branches = fe_.predictor().lookups() - base_.bp_lookups;
-    stats.mispredicts =
-        fe_.predictor().mispredicts() - base_.bp_miss;
-    stats.flushes = fe_.flushes() - base_.flushes;
-    stats.relocks = reconfig_.relocks() - base_.relocks;
+    stats.residency = fe_.residency();
     stats.trace = reconfig_.trace();
-}
-
-CoreProgress
-Core::progressStop() const
-{
-    return CoreProgress{&committedRef(), targetInstrs()};
-}
-
-RunStats
-Core::collectStats()
-{
-    finalizeStats(stats_);
-    return stats_;
+    return stats;
 }
 
 void

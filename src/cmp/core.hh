@@ -87,7 +87,7 @@ class Core
     CoreProgress progressStop() const;
 
     /** Measured-window statistics (after a run). */
-    RunStats collectStats();
+    RunStats collectStats() const;
 
     /** Current structure configuration (changes in phase mode). */
     const AdaptiveConfig &currentConfig() const { return cur_cfg_; }
@@ -107,8 +107,12 @@ class Core
     void validateInvariants() const;
 
   private:
-    void snapshotBaselines(Tick now);
-    void finalizeStats(RunStats &stats) const;
+    /**
+     * The lifetime counters behind RunStats' window fields (every
+     * std::uint64_t field) as they read at `now`; every other field
+     * is left empty. The window is the difference of two of these.
+     */
+    RunStats counters(Tick now) const;
 
     MachineConfig cfg_;
     WorkloadParams wl_params_;
@@ -117,7 +121,6 @@ class Core
 
     CoreTiming timing_;
     WakeHub hub_;
-    RunStats stats_;
 
     // Domain units (each owns its structures and controllers).
     FrontEnd fe_;
@@ -132,15 +135,8 @@ class Core
 
     std::array<Domain *, 4> domain_table_;
 
-    struct Baseline
-    {
-        std::uint64_t l1i_acc = 0, l1i_miss = 0, l1i_b = 0;
-        std::uint64_t l1d_acc = 0, l1d_miss = 0, l1d_b = 0;
-        std::uint64_t l2_acc = 0, l2_miss = 0, l2_b = 0;
-        std::uint64_t bp_lookups = 0, bp_miss = 0;
-        std::uint64_t flushes = 0;
-        std::uint64_t relocks = 0;
-    } base_;
+    /** counters() when the measured window opened. */
+    RunStats base_;
 };
 
 } // namespace gals

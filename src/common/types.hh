@@ -9,9 +9,11 @@
 #ifndef GALS_COMMON_TYPES_HH
 #define GALS_COMMON_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <type_traits>
+#include <vector>
 
 namespace gals
 {
@@ -64,21 +66,62 @@ enum class DomainId : std::uint8_t
 
 constexpr int kNumDomains = 4;
 
+/**
+ * The four adaptive structures, one per domain; the adaptive-structure
+ * table (core/machine_config.hh) pairs each with its domain. The order
+ * is the residency and reconfiguration-log encoding.
+ */
+enum class Structure : std::uint8_t
+{
+    ICache,
+    DCachePair,
+    IntIssueQueue,
+    FpIssueQueue,
+};
+
+constexpr int kNumStructures = 4;
+
 /** Short domain tag ("fe", "int", "fp", "ls"): trace track and metric
  * name suffix. */
 const char *domainTag(DomainId id);
 
 /**
- * Field lists. Each config and stats struct declares, next to its
- * definition, `forEachField(s, f)`: f(name, member) once per field, in
- * result-store key and payload order, `name` being the key name. The
- * result-store key text, its payloads and the test harness's equality
- * all derive from these visitors. Each visitor opens with a structured
- * binding over the whole struct, so an unlisted member fails to compile.
- * FieldsOf<T> admits T and const T, so one visitor serves both.
+ * Field lists. Each config, stats and sweep-row struct declares, next
+ * to its definition, `forEachField(s, f)`: f(name, member) once per
+ * field, in the order its output lists them, `name` being the output
+ * name. What derives from them (docs/testing.md, "One declaration per
+ * list"):
+ *  - MachineConfig, WorkloadParams, ChipConfig: the result-store key;
+ *  - RunStats, ChipRunStats: the result-store payloads, the test
+ *    harness's equality, and the measured-window counters (every
+ *    std::uint64_t RunStats field is a window counter, taken as the
+ *    difference of two lifetime snapshots; Core::collectStats);
+ *  - BenchmarkResult, SyncPointRuntimes, AdaptivePointRuntime,
+ *    CmpPointResult: the sweep JSON rows (sim/report.cc).
+ * Each visitor opens with a structured binding over the whole struct,
+ * so an unlisted member fails to compile. FieldsOf<T> admits T and
+ * const T, so one visitor serves both.
  */
 template <class S, class T>
 concept FieldsOf = std::is_same_v<std::remove_const_t<S>, T>;
+
+/**
+ * f(name, a_member, b_member) over two structs of one type, in
+ * visitor order; `b` is read-only.
+ */
+template <class A, class B, class F>
+    requires std::is_same_v<std::remove_const_t<A>, std::remove_const_t<B>>
+void
+forEachFieldPair(A &a, const B &b, F &&f)
+{
+    std::vector<const void *> bs;
+    forEachField(b, [&](const char *, const auto &v) { bs.push_back(&v); });
+    std::size_t i = 0;
+    forEachField(a, [&](const char *name, auto &va) {
+        using T = std::remove_cvref_t<decltype(va)>;
+        f(name, va, *static_cast<const T *>(bs[i++]));
+    });
+}
 
 } // namespace gals
 

@@ -12,17 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "common/types.hh"
+
 namespace gals
 {
-
-/** Which adaptive structure changed. */
-enum class Structure : std::uint8_t
-{
-    ICache,
-    DCachePair,
-    IntIssueQueue,
-    FpIssueQueue,
-};
 
 /** Printable structure name. */
 const char *structureName(Structure s);

@@ -26,16 +26,15 @@
 #include "clock/clock.hh"
 #include "clock/synchronizer.hh"
 #include "common/types.hh"
-#include "control/reconfig_trace.hh"
 
 namespace gals
 {
 
-/** A structure change waiting for PLL lock completion. */
+/** A change of the domain's structure waiting for PLL lock
+ * completion. */
 struct PendingApply
 {
     bool active = false;
-    Structure structure{};
     int target = 0;
     Tick apply_at = 0;
 };
@@ -153,7 +152,6 @@ class Domain
     virtual ~Domain() = default;
 
     DomainId id() const { return id_; }
-    int index() const { return static_cast<int>(id_); }
 
     /**
      * Execute this domain's work for the edge at `now` and return
@@ -172,6 +170,13 @@ class Domain
      * kernel.
      */
     virtual Tick wakeBound() const = 0;
+
+    /**
+     * Resize the domain's own adaptive structure (kAdaptiveStructures)
+     * to configuration `index`. Called by the ReconfigUnit after it
+     * has recorded `index` in the core's AdaptiveConfig.
+     */
+    virtual void resizeStructure(int index) = 0;
 
     /** Attach the domain's pending-structure-change slot (wired by
      * the composition root before the first run). */

@@ -137,16 +137,6 @@ class FetchGroupQueue
         }
     }
 
-    /** Drop everything. */
-    void
-    clear()
-    {
-        op_head_ = 0;
-        count_ = 0;
-        group_head_ = 0;
-        group_count_ = 0;
-    }
-
     /** Number of distinct fetch groups currently queued. */
     size_t groupCount() const { return group_count_; }
 

@@ -21,9 +21,9 @@ constexpr std::uint64_t KB = 1024;
 
 FrontEnd::FrontEnd(const MachineConfig &cfg,
                    const AdaptiveConfig &cur_cfg, CoreTiming &timing,
-                   const WorkloadParams &wl, RunStats &stats)
+                   const WorkloadParams &wl)
     : Domain(DomainId::FrontEnd, timing), cfg_(cfg),
-      cur_cfg_(cur_cfg), wl_params_(wl), stats_(stats), workload_(wl),
+      cur_cfg_(cur_cfg), wl_params_(wl), workload_(wl),
       regs_(cfg.phys_int_regs, cfg.phys_fp_regs),
       rob_(cfg.rob_entries),
       fetch_queue_(static_cast<size_t>(
@@ -61,9 +61,9 @@ FrontEnd::wire(CorePorts &ports, IssueCluster &int_cluster,
 }
 
 void
-FrontEnd::applyICache(int target)
+FrontEnd::resizeStructure(int index)
 {
-    const ICacheConfig &ic = icacheConfig(target);
+    const ICacheConfig &ic = icacheConfig(index);
     l1i_->setPartition(ic.org.assoc, cfg_.phase_adaptive);
     predictor_->reconfigure(ic.predictor);
     fetch_a_lat_ = ic.a_lat;
@@ -399,14 +399,10 @@ FrontEnd::doRetire(Tick now)
     auto flushResidency = [&]() {
         if (run == 0)
             return;
-        stats_.icache_residency[static_cast<size_t>(cur_cfg_.icache)] +=
-            run;
-        stats_.dcache_residency[static_cast<size_t>(cur_cfg_.dcache)] +=
-            run;
-        stats_.iq_int_residency[static_cast<size_t>(cur_cfg_.iq_int)] +=
-            run;
-        stats_.iq_fp_residency[static_cast<size_t>(cur_cfg_.iq_fp)] +=
-            run;
+        for (const AdaptiveStructure &a : kAdaptiveStructures) {
+            residency_[static_cast<size_t>(a.structure)]
+                      [static_cast<size_t>(cur_cfg_.*a.index)] += run;
+        }
         run = 0;
     };
 
@@ -474,8 +470,6 @@ FrontEnd::doRetire(Tick now)
         if (!measuring_ &&
             committed_ >= wl_params_.warmup_instrs) {
             measuring_ = true;
-            measure_start_ = now;
-            measure_committed_base_ = committed_;
             if (on_measure_start_)
                 on_measure_start_(now);
             // The boundary op retires into the measured residency

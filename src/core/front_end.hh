@@ -43,8 +43,7 @@ class FrontEnd final : public Domain
 {
   public:
     FrontEnd(const MachineConfig &cfg, const AdaptiveConfig &cur_cfg,
-             CoreTiming &timing, const WorkloadParams &wl,
-             RunStats &stats);
+             CoreTiming &timing, const WorkloadParams &wl);
 
     /** Connect ports and peer units (composition root, once). */
     void wire(CorePorts &ports, IssueCluster &int_cluster,
@@ -54,12 +53,9 @@ class FrontEnd final : public Domain
     Tick step(Tick now) override;
     Tick wakeBound() const override;
 
-    // ------------------------------------------------------------------
-    // Reconfiguration interface (called by the ReconfigUnit).
-    // ------------------------------------------------------------------
-    /** Re-partition the I-cache and predictor to configuration row
-     * `target` (cur_cfg_ already updated by the caller). */
-    void applyICache(int target);
+    /** Re-partition the I-cache and predictor to Table 2 row
+     * `index`. */
+    void resizeStructure(int index) override;
 
     // ------------------------------------------------------------------
     // Progress and measurement (read by the composition root).
@@ -68,12 +64,9 @@ class FrontEnd final : public Domain
     /** Stable reference the scheduler's stop condition polls. */
     const std::uint64_t &committedRef() const { return committed_; }
     std::uint64_t flushes() const { return flushes_; }
-    Tick measureStart() const { return measure_start_; }
     Tick lastCommitTime() const { return last_commit_time_; }
-    std::uint64_t measureCommittedBase() const
-    {
-        return measure_committed_base_;
-    }
+    /** Measured-window residency (RunStats::residency). */
+    const RunStats::Residency &residency() const { return residency_; }
 
     /** Zero-warmup runs measure from t=0 (calls the baseline hook). */
     void beginMeasurementAtZero();
@@ -135,7 +128,6 @@ class FrontEnd final : public Domain
     const MachineConfig &cfg_;
     const AdaptiveConfig &cur_cfg_;
     const WorkloadParams &wl_params_;
-    RunStats &stats_;
 
     SyntheticWorkload workload_;
 
@@ -193,8 +185,7 @@ class FrontEnd final : public Domain
 
     // Measurement window.
     bool measuring_ = false;
-    Tick measure_start_ = 0;
-    std::uint64_t measure_committed_base_ = 0;
+    RunStats::Residency residency_{};
 
     /**
      * Front-end next-progress summary: the earliest tick at which any

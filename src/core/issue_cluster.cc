@@ -7,13 +7,11 @@ namespace gals
 {
 
 IssueCluster::IssueCluster(DomainId id, const MachineConfig &cfg,
+                           const AdaptiveConfig &cur_cfg,
                            CoreTiming &timing, Rob &rob,
-                           RegisterFiles &regs, const int &cur_index)
-    : Domain(id, timing), cfg_(cfg), rob_(rob), regs_(regs),
-      cur_index_(cur_index),
-      structure_(id == DomainId::Integer ? Structure::IntIssueQueue
-                                         : Structure::FpIssueQueue),
-      iq_(kIssueQueueSizes[cur_index]),
+                           RegisterFiles &regs)
+    : Domain(id, timing), cfg_(cfg), cur_cfg_(cur_cfg), rob_(rob),
+      regs_(regs), iq_(kIssueQueueSizes[cur_cfg[structureOf(id)]]),
       qctl_(id == DomainId::FloatingPoint)
 {
     fu_.alus = id == DomainId::Integer ? cfg.int_alus : cfg.fp_alus;
@@ -187,7 +185,8 @@ IssueCluster::control(const IlpSample &sample, Tick now,
                       std::uint64_t committed)
 {
     QueueDecision d = qctl_.decide(sample);
-    int cur = cur_index_;
+    const Structure s = structureOf(id_);
+    int cur = cur_cfg_[s];
     bool passes =
         d.best_index != cur &&
         d.score[static_cast<size_t>(d.best_index)] >
@@ -195,7 +194,7 @@ IssueCluster::control(const IlpSample &sample, Tick now,
                 (1.0 + cfg_.queue_hysteresis);
     int prop = passes ? d.best_index : cur;
     if (damper_.vote(prop, cur, cfg_.queue_persistence))
-        reconfig_->request(structure_, prop, now, committed);
+        reconfig_->request(s, prop, now, committed);
 }
 
 } // namespace gals

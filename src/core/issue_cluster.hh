@@ -30,14 +30,11 @@ class ReconfigUnit;
 class IssueCluster final : public Domain
 {
   public:
-    /**
-     * @param cur_index  the live configuration index of this
-     *                   cluster's queue (a stable reference into the
-     *                   core's AdaptiveConfig).
-     */
+    /** `cur_cfg` is the core's live AdaptiveConfig; this cluster's
+     * queue is the structure its domain owns. */
     IssueCluster(DomainId id, const MachineConfig &cfg,
-                 CoreTiming &timing, Rob &rob, RegisterFiles &regs,
-                 const int &cur_index);
+                 const AdaptiveConfig &cur_cfg, CoreTiming &timing,
+                 Rob &rob, RegisterFiles &regs);
 
     /** Connect ports and the reconfiguration unit (once). */
     void wire(CorePorts &ports, ReconfigUnit &reconfig);
@@ -50,19 +47,22 @@ class IssueCluster final : public Domain
     void control(const IlpSample &sample, Tick now,
                  std::uint64_t committed);
 
-    /** Resize the issue queue (ReconfigUnit). Occupancy above a
-     * smaller capacity drains naturally. */
-    void setIqCapacity(int entries) { iq_.setCapacity(entries); }
+    /** Resize the issue queue to size index `index`. Occupancy above
+     * a smaller capacity drains naturally. */
+    void
+    resizeStructure(int index) override
+    {
+        iq_.setCapacity(kIssueQueueSizes[index]);
+    }
 
     IssueQueue &iq() { return iq_; }
     const IssueQueue &iq() const { return iq_; }
 
   private:
     const MachineConfig &cfg_;
+    const AdaptiveConfig &cur_cfg_;
     Rob &rob_;
     RegisterFiles &regs_;
-    const int &cur_index_;
-    const Structure structure_;
 
     IssueQueue iq_;
     FuPool fu_;

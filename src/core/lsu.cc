@@ -70,11 +70,11 @@ LoadStoreUnit::l2TotalBHits() const
 // ---------------------------------------------------------------------
 
 void
-LoadStoreUnit::applyDCache(int target)
+LoadStoreUnit::resizeStructure(int index)
 {
-    const DCachePairConfig &dc = dcachePairConfig(target);
+    const DCachePairConfig &dc = dcachePairConfig(index);
     l1d_->setPartition(dc.l1_adapt.assoc, cfg_.phase_adaptive);
-    icp_.reconfigure(core_index_, target);
+    icp_.reconfigure(core_index_, index);
 }
 
 CacheDecision
@@ -206,16 +206,13 @@ void
 LoadStoreUnit::drainStoreBuffer(Tick now, int &ports_used,
                                 int max_ports)
 {
-    while (ports_used < max_ports && !sb_->empty()) {
-        StoreWrite &w = sb_->front();
-        if (w.ready_at > now)
-            break;
+    while (ports_used < max_ports && sb_->frontReady(now)) {
         if (mshr_min_free_ > now)
             break;
         // Retirement blocks only on a *full* store buffer, so only
         // the pop that frees the first slot needs to wake the front
         // end — the port handles that transition.
-        Addr addr = w.line_addr << l1d_->lineShift();
+        Addr addr = sb_->front() << l1d_->lineShift();
         dataHierarchyTime(addr, now);
         // A drained store to the coherent shared region publishes
         // invalidations to remote sharers through the interconnect
@@ -380,7 +377,7 @@ LoadStoreUnit::wakeBound() const
         w = std::min(w, disp_->frontVisibleAt());
     if (!sb_->empty()) {
         w = std::min(w,
-                     std::max(sb_->frontReadyAt(), mshr_min_free_));
+                     std::max(sb_->frontVisibleAt(), mshr_min_free_));
     }
     // An undelivered coherence invalidation bounds the sleep: without
     // this term a step between the publication and its delivery would

@@ -78,9 +78,8 @@ class LoadStoreUnit final : public Domain
     void voteDCache(const CacheDecision &dd, Tick now,
                     std::uint64_t committed);
 
-    /** Re-partition the D-cache pair to row `target` (ReconfigUnit;
-     * cur_cfg_ already updated by the caller). */
-    void applyDCache(int target);
+    /** Re-partition the D-cache pair to Table 1 row `index`. */
+    void resizeStructure(int index) override;
 
     // ------------------------------------------------------------------
     // Structure access (rename, retire, invariants, statistics).

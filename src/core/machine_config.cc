@@ -18,6 +18,16 @@ MachineConfig::synchronousFreqGHz() const
                            adaptive.iq_int, adaptive.iq_fp);
 }
 
+Structure
+structureOf(DomainId d)
+{
+    for (const AdaptiveStructure &a : kAdaptiveStructures) {
+        if (a.domain == d)
+            return a.structure;
+    }
+    panic("domain %d owns no adaptive structure", static_cast<int>(d));
+}
+
 double
 MachineConfig::domainFreqGHz(DomainId d, const AdaptiveConfig &cur) const
 {
@@ -25,19 +35,8 @@ MachineConfig::domainFreqGHz(DomainId d, const AdaptiveConfig &cur) const
         return force_freq_ghz;
     if (mode == ClockingMode::Synchronous)
         return synchronousFreqGHz();
-
-    switch (d) {
-      case DomainId::FrontEnd:
-        return frontEndFreqAdaptive(cur.icache);
-      case DomainId::Integer:
-        return issueDomainFreqAdaptive(cur.iq_int);
-      case DomainId::FloatingPoint:
-        return issueDomainFreqAdaptive(cur.iq_fp);
-      case DomainId::LoadStore:
-        return loadStoreFreqAdaptive(cur.dcache);
-      default:
-        panic("no clock for domain %d", static_cast<int>(d));
-    }
+    const AdaptiveStructure &a = adaptiveStructure(structureOf(d));
+    return a.freq_ghz(cur.*a.index);
 }
 
 MachineConfig

@@ -18,6 +18,7 @@
 #ifndef GALS_CORE_MACHINE_CONFIG_HH
 #define GALS_CORE_MACHINE_CONFIG_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -45,9 +46,83 @@ struct AdaptiveConfig
 
     bool operator==(const AdaptiveConfig &) const = default;
 
+    /** The index of structure `s` (kAdaptiveStructures names the
+     * member). */
+    int &operator[](Structure s);
+    int operator[](Structure s) const;
+
     /** e.g. "I1 D2 Qi0 Qf0". */
     std::string str() const;
 };
+
+/** One row of the adaptive-structure table. */
+struct AdaptiveStructure
+{
+    Structure structure;
+    /** The clock domain that owns (and resizes) the structure. */
+    DomainId domain;
+    /** The structure's configuration index in an AdaptiveConfig. */
+    int AdaptiveConfig::*index;
+    /** The owning domain's MCD frequency at configuration `k`. */
+    double (*freq_ghz)(int k);
+};
+
+/**
+ * The adaptive-structure table, in Structure order. Each MCD clock
+ * domain owns exactly one adaptive structure; this is the one place
+ * that pairing, the structure's AdaptiveConfig member and its
+ * domain's frequency model are named. The reconfiguration unit,
+ * the per-domain clocks, the residency counters, the staged search
+ * and the reports all reach a structure through it.
+ */
+inline constexpr std::array<AdaptiveStructure, kNumStructures>
+    kAdaptiveStructures{{
+        {Structure::ICache, DomainId::FrontEnd, &AdaptiveConfig::icache,
+         frontEndFreqAdaptive},
+        {Structure::DCachePair, DomainId::LoadStore,
+         &AdaptiveConfig::dcache, loadStoreFreqAdaptive},
+        {Structure::IntIssueQueue, DomainId::Integer,
+         &AdaptiveConfig::iq_int, issueDomainFreqAdaptive},
+        {Structure::FpIssueQueue, DomainId::FloatingPoint,
+         &AdaptiveConfig::iq_fp, issueDomainFreqAdaptive},
+    }};
+
+static_assert([] {
+    for (size_t i = 0; i < kAdaptiveStructures.size(); ++i) {
+        if (kAdaptiveStructures[i].structure != static_cast<Structure>(i))
+            return false;
+    }
+    return true;
+}(), "kAdaptiveStructures rows must follow Structure order");
+
+/** The table row of structure `s`. */
+constexpr const AdaptiveStructure &
+adaptiveStructure(Structure s)
+{
+    return kAdaptiveStructures[static_cast<size_t>(s)];
+}
+
+/** The domain that owns structure `s`. */
+constexpr DomainId
+domainOf(Structure s)
+{
+    return adaptiveStructure(s).domain;
+}
+
+/** The structure core domain `d` owns (panics on DomainId::External). */
+Structure structureOf(DomainId d);
+
+inline int &
+AdaptiveConfig::operator[](Structure s)
+{
+    return this->*adaptiveStructure(s).index;
+}
+
+inline int
+AdaptiveConfig::operator[](Structure s) const
+{
+    return this->*adaptiveStructure(s).index;
+}
 
 /** Full machine description. */
 struct MachineConfig

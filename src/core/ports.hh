@@ -571,17 +571,18 @@ class StoreBufferPort
 {
   public:
     StoreBufferPort(WakeHub &hub, int entries)
-        : buffer_(entries),
+        : buffer_(static_cast<size_t>(entries)),
           to_lsu_(hub, DomainId::FrontEnd, DomainId::LoadStore),
           to_fe_(hub, DomainId::LoadStore, DomainId::FrontEnd)
     {}
 
     // Retire (producer) side.
     size_t freeSlots() const { return buffer_.freeSlots(); }
-    /** Push a committed store and wake the drain side. The load/store
-     * unit walks every waiting load on each step, so a line that
-     * becomes forwardable needs no probe of its own: the wake's walk
-     * retries any MSHR-busy load to that line. */
+    /** Push a committed store's line, drainable from the push tick
+     * on, and wake the drain side. The load/store unit walks every
+     * waiting load on each step, so a line that becomes forwardable
+     * needs no probe of its own: the wake's walk retries any
+     * MSHR-busy load to that line. */
     void
     push(Addr line_addr, Tick now)
     {
@@ -591,28 +592,33 @@ class StoreBufferPort
 
     // Drain (consumer) side.
     bool empty() const { return buffer_.empty(); }
-    bool full() const { return buffer_.full(); }
+    bool full() const { return !buffer_.canPush(); }
     size_t size() const { return buffer_.size(); }
     size_t capacity() const { return buffer_.capacity(); }
-    StoreWrite &front() { return buffer_.front(); }
-    Tick frontReadyAt() const { return buffer_.frontReadyAt(); }
+    /** A head write exists and may drain at `now`. */
+    bool frontReady(Tick now) const { return buffer_.frontReady(now); }
+    /** Line address of the head write; only valid when !empty(). */
+    Addr front() const { return buffer_.front(); }
+    /** Push tick of the head write; only valid when !empty(). */
+    Tick frontVisibleAt() const { return buffer_.frontVisibleAt(); }
+    /** A pending write to the line (store-to-load forwarding). */
     bool hasLine(Addr line_addr) const
     {
-        return buffer_.hasLine(line_addr);
+        return buffer_.contains(line_addr);
     }
     /** Pop the drained head write; wakes the front end when the pop
      * freed a slot of a previously full buffer. */
     void
     pop(Tick now)
     {
-        bool was_full = buffer_.full();
+        bool was_full = full();
         buffer_.pop();
         if (was_full)
             to_fe_.publish(now);
     }
 
   private:
-    StoreBuffer buffer_;
+    SyncFifo<Addr> buffer_;
     WakePort to_lsu_;
     WakePort to_fe_;
 };

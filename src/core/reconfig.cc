@@ -1,9 +1,5 @@
 #include "core/reconfig.hh"
 
-#include "common/logging.hh"
-#include "core/front_end.hh"
-#include "core/issue_cluster.hh"
-#include "core/lsu.hh"
 #include "obs/trace.hh"
 
 namespace gals
@@ -21,68 +17,17 @@ ReconfigUnit::ReconfigUnit(const MachineConfig &cfg,
 }
 
 void
-ReconfigUnit::attachDomains(FrontEnd &fe, IssueCluster &int_cluster,
-                            IssueCluster &fp_cluster,
-                            LoadStoreUnit &lsu)
+ReconfigUnit::apply(Structure s, int target)
 {
-    fe_ = &fe;
-    int_cluster_ = &int_cluster;
-    fp_cluster_ = &fp_cluster;
-    lsu_ = &lsu;
-}
-
-DomainId
-ReconfigUnit::domainOf(Structure s)
-{
-    switch (s) {
-      case Structure::ICache:        return DomainId::FrontEnd;
-      case Structure::DCachePair:    return DomainId::LoadStore;
-      case Structure::IntIssueQueue: return DomainId::Integer;
-      case Structure::FpIssueQueue:  return DomainId::FloatingPoint;
-    }
-    panic("bad structure");
-}
-
-int
-ReconfigUnit::currentIndexOf(Structure s) const
-{
-    switch (s) {
-      case Structure::ICache:        return cur_cfg_.icache;
-      case Structure::DCachePair:    return cur_cfg_.dcache;
-      case Structure::IntIssueQueue: return cur_cfg_.iq_int;
-      case Structure::FpIssueQueue:  return cur_cfg_.iq_fp;
-    }
-    panic("bad structure");
-}
-
-void
-ReconfigUnit::applyStructure(Structure s, int target)
-{
-    switch (s) {
-      case Structure::ICache:
-        cur_cfg_.icache = target;
-        fe_->applyICache(target);
-        break;
-      case Structure::DCachePair:
-        cur_cfg_.dcache = target;
-        lsu_->applyDCache(target);
-        break;
-      case Structure::IntIssueQueue:
-        cur_cfg_.iq_int = target;
-        int_cluster_->setIqCapacity(kIssueQueueSizes[target]);
-        break;
-      case Structure::FpIssueQueue:
-        cur_cfg_.iq_fp = target;
-        fp_cluster_->setIqCapacity(kIssueQueueSizes[target]);
-        break;
-    }
+    cur_cfg_[s] = target;
+    domains_[static_cast<size_t>(domainOf(s))]->resizeStructure(target);
 }
 
 void
 ReconfigUnit::request(Structure s, int target, Tick now,
                       std::uint64_t committed)
 {
-    int cur = currentIndexOf(s);
+    int cur = cur_cfg_[s];
     if (target == cur)
         return;
     DomainId d = domainOf(s);
@@ -91,12 +36,7 @@ ReconfigUnit::request(Structure s, int target, Tick now,
         return;
 
     AdaptiveConfig probe = cur_cfg_;
-    switch (s) {
-      case Structure::ICache:        probe.icache = target; break;
-      case Structure::DCachePair:    probe.dcache = target; break;
-      case Structure::IntIssueQueue: probe.iq_int = target; break;
-      case Structure::FpIssueQueue:  probe.iq_fp = target; break;
-    }
+    probe[s] = target;
     double f_new = cfg_.domainFreqGHz(d, probe);
     double f_old = timing_.clock(d).freqGHz();
 
@@ -127,12 +67,12 @@ ReconfigUnit::request(Structure s, int target, Tick now,
         // Speeding up: run the simpler configuration through the
         // lock window (downsize at the start of the change). With a
         // forced frequency every change lands here, growth included.
-        applyStructure(s, target);
+        apply(s, target);
         reclock_.applied(d, now);
     } else {
         // Slowing down: upsize only once the slower clock is locked.
         pending_[static_cast<size_t>(d)] =
-            PendingApply{true, s, target, lock_done};
+            PendingApply{true, target, lock_done};
     }
 }
 
@@ -141,7 +81,7 @@ ReconfigUnit::applyPending(DomainId d, Tick now)
 {
     PendingApply &p = pending_[static_cast<size_t>(d)];
     if (p.active && now >= p.apply_at) {
-        applyStructure(p.structure, p.target);
+        apply(structureOf(d), p.target);
         p.active = false;
     }
 }

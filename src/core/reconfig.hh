@@ -26,10 +26,6 @@
 namespace gals
 {
 
-class FrontEnd;
-class IssueCluster;
-class LoadStoreUnit;
-
 /** Applies structure changes under PLL re-lock timing. */
 class ReconfigUnit
 {
@@ -37,10 +33,13 @@ class ReconfigUnit
     ReconfigUnit(const MachineConfig &cfg, AdaptiveConfig &cur,
                  CoreTiming &timing, ReclockPort &reclock);
 
-    /** Wire the domain units the structure applications dispatch to
-     * (the composition root calls this once). */
-    void attachDomains(FrontEnd &fe, IssueCluster &int_cluster,
-                       IssueCluster &fp_cluster, LoadStoreUnit &lsu);
+    /** Wire the core's domain units, in DomainId order: structure
+     * applications dispatch to them (the composition root calls this
+     * once). */
+    void attachDomains(const std::array<Domain *, kNumDomains> &domains)
+    {
+        domains_ = domains;
+    }
 
     /** The owning core's global domain-index base (core * 4): where
      * this unit's decisions land in the event trace (obs/trace.hh).
@@ -72,9 +71,7 @@ class ReconfigUnit
     std::uint64_t relocks() const;
 
   private:
-    void applyStructure(Structure s, int target);
-    int currentIndexOf(Structure s) const;
-    static DomainId domainOf(Structure s);
+    void apply(Structure s, int target);
 
     const MachineConfig &cfg_;
     AdaptiveConfig &cur_cfg_;
@@ -84,11 +81,7 @@ class ReconfigUnit
     std::array<PendingApply, 4> pending_;
     ReconfigTrace trace_;
     int trace_base_ = 0;
-
-    FrontEnd *fe_ = nullptr;
-    IssueCluster *int_cluster_ = nullptr;
-    IssueCluster *fp_cluster_ = nullptr;
-    LoadStoreUnit *lsu_ = nullptr;
+    std::array<Domain *, kNumDomains> domains_{};
 };
 
 } // namespace gals

@@ -53,13 +53,12 @@ struct RunStats
 
     /**
      * Instruction-weighted residency of each configuration index,
-     * per structure (phase mode; all weight on the fixed index
-     * otherwise).
+     * indexed by Structure then index (phase mode; all weight on the
+     * fixed index otherwise).
      */
-    std::array<std::uint64_t, 4> icache_residency{};
-    std::array<std::uint64_t, 4> dcache_residency{};
-    std::array<std::uint64_t, 4> iq_int_residency{};
-    std::array<std::uint64_t, 4> iq_fp_residency{};
+    using Residency =
+        std::array<std::array<std::uint64_t, 4>, kNumStructures>;
+    Residency residency{};
 
     /** Reconfiguration log (phase mode). */
     ReconfigTrace trace;
@@ -73,8 +72,7 @@ forEachField(S &s, F &&f)
     auto &[benchmark, config, committed, time_ps, l1i_accesses,
            l1i_misses, l1d_accesses, l1d_misses, l2_accesses, l2_misses,
            l1i_b_hits, l1d_b_hits, l2_b_hits, branches, mispredicts,
-           flushes, relocks, icache_residency, dcache_residency,
-           iq_int_residency, iq_fp_residency, trace] = s;
+           flushes, relocks, residency, trace] = s;
     f("benchmark", benchmark); f("config", config); f("committed", committed);
     f("time_ps", time_ps); f("l1i_accesses", l1i_accesses);
     f("l1i_misses", l1i_misses); f("l1d_accesses", l1d_accesses);
@@ -83,10 +81,7 @@ forEachField(S &s, F &&f)
     f("l1d_b_hits", l1d_b_hits); f("l2_b_hits", l2_b_hits);
     f("branches", branches); f("mispredicts", mispredicts);
     f("flushes", flushes); f("relocks", relocks);
-    f("icache_residency", icache_residency);
-    f("dcache_residency", dcache_residency);
-    f("iq_int_residency", iq_int_residency);
-    f("iq_fp_residency", iq_fp_residency); f("trace", trace);
+    f("residency", residency); f("trace", trace);
 }
 
 } // namespace gals

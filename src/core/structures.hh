@@ -810,78 +810,6 @@ class Lsq
     std::vector<std::uint64_t> waiting_loads_;
 };
 
-/** A committed store waiting to write the cache. */
-struct StoreWrite
-{
-    Addr line_addr = 0;
-    Tick ready_at = 0;
-};
-
-/** Post-commit store buffer: a flat ring with a linear forwarding
- * probe. */
-class StoreBuffer
-{
-  public:
-    explicit StoreBuffer(int entries)
-        : capacity_(static_cast<size_t>(entries)), slots_(capacity_)
-    {}
-
-    bool full() const { return count_ >= capacity_; }
-    bool empty() const { return count_ == 0; }
-    size_t size() const { return count_; }
-    size_t capacity() const { return capacity_; }
-    /** Slots still allocatable (retire hoists this per group). */
-    size_t freeSlots() const { return capacity_ - count_; }
-
-    void
-    push(Addr line_addr, Tick ready_at)
-    {
-        GALS_ASSERT(!full(), "store-buffer overflow");
-        slots_[wrap(head_ + count_)] = StoreWrite{line_addr, ready_at};
-        ++count_;
-    }
-
-    StoreWrite &front() { return slots_[head_]; }
-
-    /** Drain time of the head write; only valid when !empty(). */
-    Tick frontReadyAt() const { return slots_[head_].ready_at; }
-
-    void
-    pop()
-    {
-        GALS_ASSERT(!empty(), "store-buffer underflow");
-        head_ = wrap(head_ + 1);
-        --count_;
-    }
-
-    /**
-     * True when a pending write matches the line (forwarding). The
-     * buffer holds at most a few entries in a flat ring, so a linear
-     * probe beats any index.
-     */
-    bool
-    hasLine(Addr line_addr) const
-    {
-        for (size_t i = 0; i < count_; ++i) {
-            if (slots_[wrap(head_ + i)].line_addr == line_addr)
-                return true;
-        }
-        return false;
-    }
-
-  private:
-    size_t
-    wrap(size_t pos) const
-    {
-        return pos >= capacity_ ? pos - capacity_ : pos;
-    }
-
-    size_t capacity_;
-    std::vector<StoreWrite> slots_;
-    size_t head_ = 0;
-    size_t count_ = 0;
-};
-
 /** Per-domain function units: N pipelined ALUs + 1 mult/div unit. */
 struct FuPool
 {

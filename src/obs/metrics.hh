@@ -8,7 +8,7 @@
  * human-facing stderr lines stay as they are.
  *
  * Opt-in output: `GALS_METRICS=<path>` writes the registry at
- * process exit; `sweep_cli --metrics-out FILE` writes it explicitly.
+ * process exit.
  * Publishing into the registry is always allowed (cheap: one mutex
  * and a map touch, far off every simulated hot path) and perturbs no
  * simulated state, so traced/metered runs stay bit-identical.

@@ -12,7 +12,7 @@
  * The tracer is strictly observation-only. It is off by default and
  * armed by `GALS_TRACE=<path>` (the result-store opt-in pattern:
  * an unusable path degrades to one warn() and tracing stays
- * disabled, never a crash) or `--trace-out`. When disabled, the only
+ * disabled, never a crash). When disabled, the only
  * cost on any hot path is the single `obs::tracing()` branch — a
  * thread-local bool that is false everywhere. When enabled, every
  * record call appends to a buffer and touches no simulated state, no

@@ -9,6 +9,70 @@
 namespace gals
 {
 
+namespace
+{
+
+// ----------------------------------------------------------------------
+// Sweep JSON rows. The fields, their names and their order come from
+// the row structs' forEachField visitors (common/types.hh); doubles
+// print with %.17g, so a row served from the result store writes the
+// same bytes as a cold one.
+// ----------------------------------------------------------------------
+
+/** Appends one visited field as `, "name": value`. */
+struct JsonField
+{
+    std::string &out;
+
+    template <class T>
+    void
+    operator()(const char *name, const T &v) const
+    {
+        out += csprintf(", \"%s\": ", name);
+        value(v);
+    }
+
+    template <class T>
+    void
+    value(const T &v) const
+    {
+        if constexpr (std::is_same_v<T, double>) {
+            out += csprintf("%.17g", v);
+        } else if constexpr (std::is_integral_v<T>) {
+            out += std::to_string(v);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            out += '"' + v + '"';
+        } else if constexpr (std::is_same_v<T, AdaptiveConfig>) {
+            value(v.str());
+        } else { // std::vector
+            out += '[';
+            for (size_t i = 0; i < v.size(); ++i) {
+                if (i != 0)
+                    out += ", ";
+                value(v[i]);
+            }
+            out += ']';
+        }
+    }
+};
+
+/** The `"rows"` array, one row per line tagged with its index, and
+ * the document's closing brace. */
+template <class Row>
+void
+appendRows(std::string &out, const std::vector<Row> &rows)
+{
+    out += "  \"rows\": [\n";
+    for (size_t k = 0; k < rows.size(); ++k) {
+        out += csprintf("    {\"index\": %zu", k);
+        forEachField(rows[k], JsonField{out});
+        out += k + 1 < rows.size() ? "},\n" : "}\n";
+    }
+    out += "  ]\n}\n";
+}
+
+} // namespace
+
 std::string
 studyJson(const StudyResult &study)
 {
@@ -19,19 +83,7 @@ studyJson(const StudyResult &study)
                                                         : "staged");
     out += csprintf("  \"benchmarks\": %zu,\n",
                     study.benchmarks.size());
-    out += "  \"rows\": [\n";
-    for (size_t i = 0; i < study.benchmarks.size(); ++i) {
-        const BenchmarkResult &r = study.benchmarks[i];
-        out += csprintf(
-            "    {\"index\": %zu, \"name\": \"%s\", \"suite\": "
-            "\"%s\", \"sync_ns\": %.17g, \"program_ns\": %.17g, "
-            "\"phase_ns\": %.17g, \"cfg\": \"%s\", \"runs\": %llu}",
-            i, r.name.c_str(), r.suite.c_str(), r.sync_ns,
-            r.program_ns, r.phase_ns, r.program_cfg.str().c_str(),
-            static_cast<unsigned long long>(r.runs));
-        out += i + 1 < study.benchmarks.size() ? ",\n" : "\n";
-    }
-    out += "  ]\n}\n";
+    appendRows(out, study.benchmarks);
     return out;
 }
 
@@ -43,21 +95,7 @@ syncSweepJson(const std::vector<SyncPointRuntimes> &rows,
     out += "  \"sweep\": \"synchronous\",\n";
     out += csprintf("  \"full\": %s,\n", full ? "true" : "false");
     out += csprintf("  \"benchmarks\": %zu,\n", suite_size);
-    out += "  \"rows\": [\n";
-    for (size_t k = 0; k < rows.size(); ++k) {
-        const SyncPointRuntimes &r = rows[k];
-        out += csprintf("    {\"index\": %zu, \"icache_opt\": %d, "
-                        "\"dcache\": %d, \"iq_int\": %d, "
-                        "\"iq_fp\": %d, \"runtime_ns\": [",
-                        k, r.icache_opt, r.dcache,
-                        r.iq_int, r.iq_fp);
-        for (size_t b = 0; b < r.runtime_ns.size(); ++b) {
-            out += csprintf("%s%.17g", b == 0 ? "" : ", ",
-                            r.runtime_ns[b]);
-        }
-        out += k + 1 < rows.size() ? "]},\n" : "]}\n";
-    }
-    out += "  ]\n}\n";
+    appendRows(out, rows);
     return out;
 }
 
@@ -70,16 +108,7 @@ adaptiveSweepJson(const std::vector<AdaptivePointRuntime> &rows,
     out += csprintf("  \"benchmark\": \"%s\",\n", benchmark.c_str());
     out += csprintf("  \"points\": %zu,\n",
                     allAdaptiveConfigs().size());
-    out += "  \"rows\": [\n";
-    for (size_t k = 0; k < rows.size(); ++k) {
-        const AdaptivePointRuntime &r = rows[k];
-        out += csprintf("    {\"index\": %zu, \"cfg\": \"%s\", "
-                        "\"runtime_ns\": %.17g}%s\n",
-                        k, r.cfg.str().c_str(),
-                        r.runtime_ns,
-                        k + 1 < rows.size() ? "," : "");
-    }
-    out += "  ]\n}\n";
+    appendRows(out, rows);
     return out;
 }
 
@@ -95,24 +124,7 @@ cmpSweepJson(const std::vector<CmpPointResult> &rows, size_t suite_size,
         out += csprintf("%s%d", i == 0 ? "" : ", ", core_counts[i]);
     }
     out += "],\n";
-    out += "  \"rows\": [\n";
-    for (size_t k = 0; k < rows.size(); ++k) {
-        const CmpPointResult &r = rows[k];
-        out += csprintf("    {\"index\": %zu, \"cores\": %d, "
-                        "\"rotation\": %d, \"chip_ns\": %.17g, "
-                        "\"l2_misses\": %llu, "
-                        "\"bank_conflicts\": %llu, \"core_ns\": [",
-                        k, r.cores, r.rotation, r.chip_ns,
-                        static_cast<unsigned long long>(r.l2_misses),
-                        static_cast<unsigned long long>(
-                            r.bank_conflicts));
-        for (size_t c = 0; c < r.core_ns.size(); ++c) {
-            out += csprintf("%s%.17g", c == 0 ? "" : ", ",
-                            r.core_ns[c]);
-        }
-        out += k + 1 < rows.size() ? "]},\n" : "]}\n";
-    }
-    out += "  ]\n}\n";
+    appendRows(out, rows);
     return out;
 }
 
@@ -206,12 +218,9 @@ renderTable9(const StudyResult &study)
                     "choices for Program-Adaptive");
     table.setHeader({"Integer IQ", "%", "FP IQ", "%", "D-Cache", "%",
                      "I-Cache", "%"});
-    const Structure columns[] = {Structure::IntIssueQueue,
-                                 Structure::FpIssueQueue,
-                                 Structure::DCachePair, Structure::ICache};
     for (int k = 0; k < kNumAdaptiveConfigs; ++k) {
         std::vector<std::string> row;
-        for (Structure s : columns) {
+        for (Structure s : kTable9Columns) {
             row.push_back(configLabel(s, k));
             row.push_back(
                 pct(study.distribution(s)[static_cast<size_t>(k)]));

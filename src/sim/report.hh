@@ -19,6 +19,11 @@ namespace gals
 /** Figure 6: per-benchmark improvement bars plus suite averages. */
 std::string renderFigure6(const StudyResult &study);
 
+/** Table 9's column order. */
+inline constexpr Structure kTable9Columns[] = {
+    Structure::IntIssueQueue, Structure::FpIssueQueue,
+    Structure::DCachePair, Structure::ICache};
+
 /** Table 9: distribution of Program-Adaptive configuration choices. */
 std::string renderTable9(const StudyResult &study);
 

@@ -555,7 +555,7 @@ ResultStore::statsLine() const
 {
     // The human-facing stderr line doubles as the fold point into
     // the machine-readable registry: every caller that reports the
-    // store's telemetry keeps --metrics-out/GALS_METRICS current.
+    // store's telemetry keeps the GALS_METRICS file current.
     publishMetrics();
     Counters c = counters();
     return csprintf("result-store: %llu hits, %llu misses "

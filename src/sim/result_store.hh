@@ -115,7 +115,7 @@ class ResultStore
     Counters counters() const;
 
     /** Mirror counters() into the obs metrics registry under
-     * "result_store.*" (the --metrics-out telemetry surface). */
+     * "result_store.*" (written by GALS_METRICS). */
     void publishMetrics() const;
 
     /** e.g. "result-store: 256 hits, 0 misses, 0 stored ...". Also

@@ -26,8 +26,7 @@ simulateWithKernel(const MachineConfig &machine,
     ChipConfig cc;
     cc.machine = machine;
     cc.cores = 1;
-    Chip chip(cc, {workload});
-    chip.setKernel(kernel);
+    Chip chip(cc, {workload}, kernel);
     if (invariant_interval != 0)
         chip.setInvariantCheckInterval(invariant_interval);
     return std::move(chip.run().cores[0]);

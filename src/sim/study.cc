@@ -34,14 +34,8 @@ std::array<int, 4>
 StudyResult::distribution(Structure s) const
 {
     std::array<int, 4> d{};
-    for (const BenchmarkResult &r : benchmarks) {
-        const AdaptiveConfig &c = r.program_cfg;
-        int k = s == Structure::ICache          ? c.icache
-                : s == Structure::DCachePair    ? c.dcache
-                : s == Structure::IntIssueQueue ? c.iq_int
-                                                : c.iq_fp;
-        ++d[static_cast<size_t>(k)];
-    }
+    for (const BenchmarkResult &r : benchmarks)
+        ++d[static_cast<size_t>(r.program_cfg[s])];
     return d;
 }
 

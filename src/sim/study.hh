@@ -49,6 +49,20 @@ struct BenchmarkResult
     }
 };
 
+/** BenchmarkResult's fields in study-JSON row order (common/types.hh);
+ * phase_stats is bound but not visited: the reports read it, the rows
+ * do not carry it. */
+template <FieldsOf<BenchmarkResult> R, class F>
+void
+forEachField(R &r, F &&f)
+{
+    auto &[name, suite, sync_ns, program_ns, phase_ns, program_cfg,
+           phase_stats, runs] = r;
+    f("name", name); f("suite", suite); f("sync_ns", sync_ns);
+    f("program_ns", program_ns); f("phase_ns", phase_ns);
+    f("cfg", program_cfg); f("runs", runs);
+}
+
 /** Whole-suite study outcome. */
 struct StudyResult
 {

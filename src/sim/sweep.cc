@@ -88,12 +88,14 @@ stagedSearch(const WorkloadParams &wl)
     double best_time = runtimeNs(best_stats);
     std::uint64_t runs = 1;
 
-    auto optimize = [&](auto set_field) {
+    for (Structure s : {Structure::DCachePair, Structure::ICache,
+                        Structure::IntIssueQueue,
+                        Structure::FpIssueQueue}) {
         // Evaluate the three non-current candidates in parallel.
         std::vector<AdaptiveConfig> cands;
         for (int idx = 0; idx < 4; ++idx) {
             AdaptiveConfig c = cur;
-            set_field(c, idx);
+            c[s] = idx;
             if (!(c == cur))
                 cands.push_back(c);
         }
@@ -107,12 +109,7 @@ stagedSearch(const WorkloadParams &wl)
                 cur = cands[i];
             }
         }
-    };
-
-    optimize([](AdaptiveConfig &c, int v) { c.dcache = v; });
-    optimize([](AdaptiveConfig &c, int v) { c.icache = v; });
-    optimize([](AdaptiveConfig &c, int v) { c.iq_int = v; });
-    optimize([](AdaptiveConfig &c, int v) { c.iq_fp = v; });
+    }
 
     return ProgramAdaptiveResult{cur, best_stats, runs};
 }

@@ -95,6 +95,17 @@ struct SyncPointRuntimes
     std::vector<double> runtime_ns; //!< one entry per suite bench.
 };
 
+/** SyncPointRuntimes' fields in sweep-JSON row order
+ * (common/types.hh). */
+template <FieldsOf<SyncPointRuntimes> P, class F>
+void
+forEachField(P &p, F &&f)
+{
+    auto &[icache_opt, dcache, iq_int, iq_fp, runtime_ns] = p;
+    f("icache_opt", icache_opt); f("dcache", dcache); f("iq_int", iq_int);
+    f("iq_fp", iq_fp); f("runtime_ns", runtime_ns);
+}
+
 /**
  * The raw synchronous sweep: one row per design point, in sweep
  * order. Every simulation is deterministic per (point, benchmark),
@@ -111,6 +122,16 @@ struct AdaptivePointRuntime
     AdaptiveConfig cfg;
     double runtime_ns = 0.0;
 };
+
+/** AdaptivePointRuntime's fields in sweep-JSON row order
+ * (common/types.hh). */
+template <FieldsOf<AdaptivePointRuntime> P, class F>
+void
+forEachField(P &p, F &&f)
+{
+    auto &[cfg, runtime_ns] = p;
+    f("cfg", cfg); f("runtime_ns", runtime_ns);
+}
 
 /**
  * The raw exhaustive Program-Adaptive sweep for one benchmark: one
@@ -139,6 +160,19 @@ struct CmpPointResult
     std::uint64_t l2_misses = 0;
     std::uint64_t bank_conflicts = 0;
 };
+
+/** CmpPointResult's fields in sweep-JSON row order, which puts the
+ * per-core list last (common/types.hh). */
+template <FieldsOf<CmpPointResult> P, class F>
+void
+forEachField(P &p, F &&f)
+{
+    auto &[cores, rotation, chip_ns, core_ns, l2_misses, bank_conflicts] =
+        p;
+    f("cores", cores); f("rotation", rotation); f("chip_ns", chip_ns);
+    f("l2_misses", l2_misses); f("bank_conflicts", bank_conflicts);
+    f("core_ns", core_ns);
+}
 
 /**
  * The raw multiprogrammed CMP sweep over `suite`: one chip run per

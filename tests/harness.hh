@@ -47,13 +47,9 @@ template <class S>
 void
 expectSameStats(const S &a, const S &b)
 {
-    // The i-th field visited in `b` has the type of the i-th in `a`.
-    std::vector<const void *> bs;
-    forEachField(b, [&](const char *, const auto &v) { bs.push_back(&v); });
-    std::size_t i = 0;
-    forEachField(a, [&](const char *name, const auto &va) {
+    forEachFieldPair(a, b, [](const char *name, const auto &va,
+                              const auto &vb) {
         using T = std::remove_cvref_t<decltype(va)>;
-        const T &vb = *static_cast<const T *>(bs[i++]);
         if constexpr (std::is_same_v<T, std::vector<RunStats>>) {
             ASSERT_EQ(va.size(), vb.size()) << name;
             for (std::size_t c = 0; c < va.size(); ++c) {

@@ -68,8 +68,7 @@ ChipRunStats
 runChip(const ChipConfig &cc, const std::vector<WorkloadParams> &mix,
         Kernel kernel)
 {
-    Chip chip(cc, mix);
-    chip.setKernel(kernel);
+    Chip chip(cc, mix, kernel);
     return chip.run();
 }
 
@@ -307,14 +306,12 @@ TEST(CmpDifferential, EventKernelMatchesReferenceOnMultiCoreChips)
                      std::to_string(cc.l2_banks) + " " +
                      describe(cc.machine, mix[0]));
 
-        Chip event_chip(cc, mix);
-        event_chip.setKernel(Kernel::EventDriven);
+        Chip event_chip(cc, mix, Kernel::EventDriven);
         if (i % 3 == 0)
             event_chip.setInvariantCheckInterval(64);
         ChipRunStats ev = event_chip.run();
 
-        Chip ref_chip(cc, mix);
-        ref_chip.setKernel(Kernel::Reference);
+        Chip ref_chip(cc, mix, Kernel::Reference);
         if (i % 3 == 0)
             ref_chip.setInvariantCheckInterval(64);
         ChipRunStats ref = ref_chip.run();

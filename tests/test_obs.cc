@@ -358,8 +358,7 @@ TEST_F(ObsTest, KernelWorkCountersArePinned)
     };
 
     m.clear();
-    Chip chip(cc, mix);
-    chip.setKernel(Kernel::EventDriven);
+    Chip chip(cc, mix, Kernel::EventDriven);
     chip.run();
     std::array<std::uint64_t, kNumDomains> steps{}, skipped{};
     for (int d = 0; d < kNumDomains; ++d) {
@@ -379,8 +378,7 @@ TEST_F(ObsTest, KernelWorkCountersArePinned)
     // kernel consumes no edge the reference did not (a parked
     // domain's clock lags, it never runs ahead).
     m.clear();
-    Chip ref(cc, mix);
-    ref.setKernel(Kernel::Reference);
+    Chip ref(cc, mix, Kernel::Reference);
     ref.run();
     for (int d = 0; d < kNumDomains; ++d) {
         SCOPED_TRACE(kind(d));

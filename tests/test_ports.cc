@@ -156,6 +156,27 @@ TEST(Ports, StoreBufferPortWakesFrontEndOnPopFromFull)
     EXPECT_EQ(fabric.bound(0), 4001u);
 }
 
+TEST(Ports, StoreBufferForwardingLookup)
+{
+    std::array<Clock, 4> clocks = testClocks();
+    WakeFabric fabric(clocks.data(), kNumDomains);
+    WakeHub hub(fabric, 0, kNumDomains);
+
+    StoreBufferPort sb(hub, 2);
+    sb.push(42, 100);
+    EXPECT_TRUE(sb.hasLine(42));
+    EXPECT_FALSE(sb.hasLine(43));
+    EXPECT_FALSE(sb.frontReady(99)); // drainable from its push tick.
+    EXPECT_TRUE(sb.frontReady(100));
+    sb.push(43, 200);
+    EXPECT_TRUE(sb.full());
+    EXPECT_EQ(sb.front(), 42u);
+    sb.pop(300);
+    EXPECT_FALSE(sb.hasLine(42));
+    EXPECT_TRUE(sb.hasLine(43));
+    EXPECT_EQ(sb.frontVisibleAt(), 200u);
+}
+
 TEST(Ports, EpochBumpBroadcastFollowsReferenceOrder)
 {
     std::array<Clock, 4> clocks = testClocks();

@@ -212,9 +212,9 @@ TEST(Processor, PhaseAdaptiveRunsControllersAndConverges)
     // It settles: few reconfigurations relative to intervals.
     EXPECT_LT(s.trace.countFor(Structure::DCachePair), 8u);
     // Residency concentrates off the minimal configuration.
-    EXPECT_GT(s.dcache_residency[1] + s.dcache_residency[2] +
-                  s.dcache_residency[3],
-              s.dcache_residency[0]);
+    const auto &res =
+        s.residency[static_cast<size_t>(Structure::DCachePair)];
+    EXPECT_GT(res[1] + res[2] + res[3], res[0]);
 }
 
 TEST(Processor, PhaseAdaptiveTracksWorkingSetPhases)
@@ -233,7 +233,8 @@ TEST(Processor, PhaseAdaptiveTracksWorkingSetPhases)
     w.phases = {small, large};
     RunStats s = simulate(MachineConfig::mcdPhaseAdaptive(), w);
     int used = 0;
-    for (auto r : s.dcache_residency) {
+    for (auto r :
+         s.residency[static_cast<size_t>(Structure::DCachePair)]) {
         if (r > 4'000)
             ++used;
     }

@@ -195,6 +195,24 @@ TEST(Kernel, FromEnv)
     unsetenv("GALS_KERNEL");
 }
 
+TEST(Kernel, BadEnvWarnsOncePerRun)
+{
+    // simulate() reads GALS_KERNEL once and hands the choice to its
+    // chip, so a bad value costs one warning per run, not one per
+    // reader.
+    setenv("GALS_KERNEL", "bogus", 1);
+    testing::internal::CaptureStderr();
+    RunStats s = simulate(MachineConfig::bestSynchronous(),
+                          shrunk("gzip", 2'000));
+    std::string err = testing::internal::GetCapturedStderr();
+    unsetenv("GALS_KERNEL");
+    EXPECT_GT(s.committed, 0u);
+    const std::string warning = "warn: GALS_KERNEL=\"bogus\"";
+    size_t first = err.find(warning);
+    ASSERT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
+}
+
 /**
  * The event kernel's sleep schedule, pinned exactly. A wasted step or
  * a missed skip changes no simulated byte, so no digest or golden can
@@ -265,8 +283,8 @@ TEST(KernelCounters, PinnedSleepSchedule)
     ChipConfig cc;
     cc.machine = MachineConfig::mcdProgram({});
     cc.cores = 4;
-    Chip chip(cc, sharingMix(gzip, 4, "producer-consumer"));
-    chip.setKernel(Kernel::EventDriven);
+    Chip chip(cc, sharingMix(gzip, 4, "producer-consumer"),
+              Kernel::EventDriven);
     chip.run();
     expectPinned(pins[next]);
 }
