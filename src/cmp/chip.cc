@@ -204,15 +204,32 @@ Chip::run()
         m.add("kernel.skipped_edges." + kind,
               k.skipped_edges[static_cast<size_t>(d)]);
     }
-    // Load-issue retries, summed over cores.
+    // Load-issue retries and the back end's walk work, summed over
+    // cores.
     std::uint64_t mshr_busy = 0;
     std::uint64_t blocked = 0;
+    std::uint64_t load_walk = 0;
+    std::uint64_t store_walk = 0;
+    std::uint64_t cand_walks = 0;
+    std::uint64_t src_evals = 0;
     for (const auto &core : cores_) {
-        mshr_busy += core->lsu().retriesMshrBusy();
-        blocked += core->lsu().retriesBlocked();
+        const LoadStoreUnit &lsu = core->lsu();
+        mshr_busy += lsu.retriesMshrBusy();
+        blocked += lsu.retriesBlocked();
+        load_walk += lsu.loadWalkVisits();
+        store_walk += lsu.storeWalkVisits();
+        for (const IssueCluster *c :
+             {&core->intCluster(), &core->fpCluster()}) {
+            cand_walks += c->candWalks();
+            src_evals += c->srcEvals();
+        }
     }
     m.add("lsu.retry.mshr_busy", mshr_busy);
     m.add("lsu.retry.blocked", blocked);
+    m.add("lsu.load_walk", load_walk);
+    m.add("lsu.store_walk", store_walk);
+    m.add("iq.cand_walks", cand_walks);
+    m.add("iq.src_evals", src_evals);
     return out;
 }
 

@@ -92,8 +92,10 @@ class Core
     /** Current structure configuration (changes in phase mode). */
     const AdaptiveConfig &currentConfig() const { return cur_cfg_; }
 
-    /** The load/store unit (read-only: telemetry folds). */
+    /** The domain units (read-only: telemetry folds). */
     const LoadStoreUnit &lsu() const { return lsu_; }
+    const IssueCluster &intCluster() const { return int_cluster_; }
+    const IssueCluster &fpCluster() const { return fp_cluster_; }
 
     /**
      * Run deep structural invariant checks (rename map vs free lists,

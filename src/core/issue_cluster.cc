@@ -86,9 +86,11 @@ IssueCluster::step(Tick now)
     iq_.walkCandidates([&](std::int32_t id) {
         if (issued >= cfg_.issue_width)
             return IssueQueue::CandAction::Stop;
+        ++cand_walks_;
         IqSlot &slot = iq_.slot(id);
         if (slot.needs_eval) {
             slot.needs_eval = false;
+            ++src_evals_;
             bool pending_src = false;
             Tick ready_at = slot.issue_eligible;
             auto fold = [&](PhysRef ref, size_t si) {

@@ -58,6 +58,11 @@ class IssueCluster final : public Domain
     IssueQueue &iq() { return iq_; }
     const IssueQueue &iq() const { return iq_; }
 
+    /** Select-walk work (the `iq.*` metrics): candidates handed to
+     * select, and the source folds among them. */
+    std::uint64_t candWalks() const { return cand_walks_; }
+    std::uint64_t srcEvals() const { return src_evals_; }
+
   private:
     const MachineConfig &cfg_;
     const AdaptiveConfig &cur_cfg_;
@@ -76,6 +81,11 @@ class IssueCluster final : public Domain
 
     QueueController qctl_;
     Damper damper_;
+
+    /** Walk-local work counts (observation only; Chip::run folds
+     * them into the metrics registry once per run). */
+    std::uint64_t cand_walks_ = 0;
+    std::uint64_t src_evals_ = 0;
 
     // Wired peers.
     DispatchPort *disp_ = nullptr;

@@ -252,6 +252,7 @@ LoadStoreUnit::step(Tick now)
         auto &pending = lsq_.pendingStores();
         size_t keep = 0;
         const size_t n = pending.size();
+        store_walk_ += n;
         for (size_t i = 0; i < n; ++i) {
             std::uint64_t id = pending[i];
             LsqEntry &e = lsq_.byId(id);
@@ -307,6 +308,7 @@ LoadStoreUnit::step(Tick now)
         auto &loads = lsq_.waitingLoads();
         size_t keep = 0;
         const size_t n = loads.size();
+        load_walk_ += n;
         for (size_t i = 0; i < n; ++i) {
             std::uint64_t id = loads[i];
             if (ports_used >= cfg_.mem_ports) {

@@ -99,6 +99,10 @@ class LoadStoreUnit final : public Domain
      * the `lsu.retry.*` metrics). */
     std::uint64_t retriesMshrBusy() const { return retry_mshr_busy_; }
     std::uint64_t retriesBlocked() const { return retry_blocked_; }
+    /** Entries visited by the load-issue / store-ready walks (the
+     * `lsu.*_walk` metrics). */
+    std::uint64_t loadWalkVisits() const { return load_walk_; }
+    std::uint64_t storeWalkVisits() const { return store_walk_; }
 
   private:
     /** Outcome of a load-issue attempt. */
@@ -144,6 +148,8 @@ class LoadStoreUnit final : public Domain
      * them into the metrics registry once per run). */
     std::uint64_t retry_mshr_busy_ = 0;
     std::uint64_t retry_blocked_ = 0;
+    std::uint64_t load_walk_ = 0;
+    std::uint64_t store_walk_ = 0;
 
     Damper damp_dcache_;
 

@@ -373,6 +373,11 @@ TEST_F(ObsTest, KernelWorkCountersArePinned)
         98192, 88434, 41392, 94794};
     EXPECT_EQ(steps, want_steps);
     EXPECT_EQ(skipped, want_skipped);
+    // The back end's walk work, from the same run.
+    EXPECT_EQ(m.value("iq.cand_walks"), 68474u);
+    EXPECT_EQ(m.value("iq.src_evals"), 47486u);
+    EXPECT_EQ(m.value("lsu.load_walk"), 111609u);
+    EXPECT_EQ(m.value("lsu.store_walk"), 45580u);
 
     // The reference kernel steps every edge it consumes; the event
     // kernel consumes no edge the reference did not (a parked
