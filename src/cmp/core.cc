@@ -173,7 +173,8 @@ Core::validateInvariants() const
         GALS_ASSERT(!have_prev || id > prev,
                     "LSQ pending-store list out of age order");
         const LsqEntry &e = lsq.byId(id);
-        GALS_ASSERT(e.is_store && !e.data_ready,
+        GALS_ASSERT(e.is_store && !e.data_ready &&
+                        rob[e.rob_idx].agen_done != kTickMax,
                     "LSQ pending-store list references a non-pending "
                     "entry");
         prev = id;
@@ -187,12 +188,25 @@ Core::validateInvariants() const
         GALS_ASSERT(!have_prev || id > prev,
                     "LSQ waiting-load list out of age order");
         const LsqEntry &e = lsq.byId(id);
-        GALS_ASSERT(!e.is_store && !e.issued,
+        GALS_ASSERT(!e.is_store && !e.issued &&
+                        rob[e.rob_idx].agen_done != kTickMax,
                     "LSQ waiting-load list references a non-waiting "
                     "entry");
         prev = id;
         have_prev = true;
     }
+    // Both lists hold only agen-issued waiting entries (above), and
+    // every such entry is listed.
+    size_t waiting[2] = {0, 0}; // loads, stores.
+    for (std::uint64_t id = first; id < past; ++id) {
+        const LsqEntry &e = lsq.byId(id);
+        if (rob[e.rob_idx].agen_done != kTickMax &&
+            (e.is_store ? !e.data_ready : !e.issued))
+            ++waiting[e.is_store];
+    }
+    GALS_ASSERT(waiting[0] == lsq.waitingLoads().size() &&
+                    waiting[1] == lsq.pendingStores().size(),
+                "LSQ walk list misses an agen-issued waiting entry");
 
     // Issue queues: every live slot mirrors a ROB op that is actually
     // marked in-queue (the slot-local ready-list state shadows the
@@ -219,10 +233,11 @@ Core::validateInvariants() const
                             slot.next_wait[1] != kIqNotChained;
             if (in_chain)
                 ++chained;
-            GALS_ASSERT(slot.in_cand || slot.in_timed || in_chain,
-                        "issue-queue slot in no wakeup structure");
-            GALS_ASSERT(!(slot.in_cand && slot.in_timed),
-                        "issue-queue slot in both rings");
+            GALS_ASSERT(int{slot.in_cand} + int{slot.in_timed} +
+                                int{in_chain} ==
+                            1,
+                        "issue-queue slot not in exactly one wakeup "
+                        "structure");
         });
         GALS_ASSERT(live == iq->size(),
                     "issue-queue live count out of sync");

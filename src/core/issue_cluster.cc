@@ -65,8 +65,9 @@ IssueCluster::step(Tick now)
     });
 
     // A landed period change staled every memoized ready time: timed
-    // and ready slots re-fold at this edge (chained waiters fold
-    // their sources afresh once a completion wakes them).
+    // and ready slots re-fold at this edge, including waiters the
+    // completion port timed since (chained waiters have no time yet;
+    // the completion freeing them folds on the current grid).
     if (iq_epoch_ != timing_.epoch()) {
         iq_.invalidateTimes();
         iq_epoch_ = timing_.epoch();
@@ -79,10 +80,9 @@ IssueCluster::step(Tick now)
     int issued = 0;
     // Select walks the ready ring oldest-first, so issue order, the
     // width cutoff and FU allocation match the reference scan's
-    // age-ordered walk exactly. Ops waking mid-walk (a completion
-    // this edge) are consumers of the issuing op and therefore
-    // younger: they join the ring past the walk position and are
-    // handed out after every older candidate, in age order.
+    // age-ordered walk exactly. Ops a completion frees mid-walk are
+    // consumers of the issuing op: the completion port times them
+    // past this edge, so they never join the walked ring.
     iq_.walkCandidates([&](std::int32_t id) {
         if (issued >= cfg_.issue_width)
             return IssueQueue::CandAction::Stop;
@@ -92,33 +92,21 @@ IssueCluster::step(Tick now)
             slot.needs_eval = false;
             ++src_evals_;
             bool pending_src = false;
-            Tick ready_at = slot.issue_eligible;
-            auto fold = [&](PhysRef ref, size_t si) {
-                if (ref.index < 0)
-                    return;
-                const PhysRegState &s = regs_.state(ref);
-                if (s.pending) {
+            for (int si = 0; si < 2; ++si) {
+                PhysRef ref = si == 0 ? slot.psrc1 : slot.psrc2;
+                if (ref.index >= 0 && regs_.state(ref).pending) {
                     // Producer not issued: completion time is
                     // unknowable. Park on the register's waiter
-                    // chain; its completion pushes the slot back
-                    // onto the ready ring.
+                    // chain; the completion freeing the last pending
+                    // source folds the slot into the timer ring.
                     pending_src = true;
-                    iq_.addWaiter(ref, id, static_cast<int>(si));
-                    return;
+                    iq_.addWaiter(ref, id, si);
                 }
-                Tick v = timing_.visibleAt(s.ready_at, s.producer,
-                                           dom);
-                if (v > ready_at)
-                    ready_at = v;
-            };
-            fold(slot.psrc1, 0);
-            fold(slot.psrc2, 1);
-            if (pending_src) {
-                // Parked on the waiter chains.
-                return IssueQueue::CandAction::Drop;
             }
-            slot.ready_at = ready_at;
-            if (ready_at > now) {
+            if (pending_src)
+                return IssueQueue::CandAction::Drop;
+            slot.ready_at = slotReadyAt(slot, regs_, timing_, dom);
+            if (slot.ready_at > now) {
                 iq_.pushTimed(id); // exact future ready time.
                 return IssueQueue::CandAction::Drop;
             }

@@ -246,8 +246,9 @@ LoadStoreUnit::step(Tick now)
     // Stores become ready once their address-generation uop (which
     // also captures the data register) completes and its result
     // crosses into this domain; the ROB then retires them into the
-    // store buffer. Only stores still waiting for data are walked
-    // (their ids compacted in place, like the waiting loads).
+    // store buffer. Only agen-issued stores still waiting for data
+    // are walked (their ids compacted in place, like the waiting
+    // loads).
     {
         auto &pending = lsq_.pendingStores();
         size_t keep = 0;
@@ -256,16 +257,7 @@ LoadStoreUnit::step(Tick now)
         for (size_t i = 0; i < n; ++i) {
             std::uint64_t id = pending[i];
             LsqEntry &e = lsq_.byId(id);
-            if (e.wait_kind == 1) {
-                pending[keep++] = id; // agen still not issued.
-                continue;
-            }
             InFlightOp &op = rob_[e.rob_idx];
-            if (op.agen_done == kTickMax) {
-                e.wait_kind = 1; // cleared by the agen issue itself.
-                pending[keep++] = id;
-                continue;
-            }
             if (e.arrived_at <= now) {
                 Tick vis = timing_.visibleAt(
                     op.agen_done, DomainId::Integer,
@@ -300,10 +292,9 @@ LoadStoreUnit::step(Tick now)
     if (sb_pressure)
         drainStoreBuffer(now, ports_used, 1);
 
-    // Load issue walks only the not-yet-issued loads, oldest first.
-    // A load whose agen has not issued is skipped with one compare
-    // until the agen port clears its mark; every other load is
-    // re-evaluated on each walk.
+    // Load issue walks the agen-issued loads not yet issued to the
+    // cache, oldest first, re-evaluating each one; a load joins the
+    // list when the agen port hands its address over.
     {
         auto &loads = lsq_.waitingLoads();
         size_t keep = 0;
@@ -317,18 +308,13 @@ LoadStoreUnit::step(Tick now)
                 continue;
             }
             LsqEntry &e = lsq_.byId(id);
-            if (e.wait_kind == 1 || e.arrived_at > now) {
-                // Agen not issued, or not yet arrived: the agen port
-                // or the dispatch arrival wakes this domain.
+            if (e.arrived_at > now) {
+                // Not yet arrived: the dispatch arrival wakes this
+                // domain.
                 loads[keep++] = id;
                 continue;
             }
             InFlightOp &op = rob_[e.rob_idx];
-            if (op.agen_done == kTickMax) {
-                e.wait_kind = 1; // cleared by the agen issue itself.
-                loads[keep++] = id;
-                continue;
-            }
             Tick vis = timing_.visibleAt(op.agen_done, DomainId::Integer,
                                          DomainId::LoadStore);
             if (vis > now) {

@@ -133,7 +133,7 @@ class LoadStoreUnit final : public Domain
      * Walk summary of the last step's LSQ walks: what bounds the
      * domain's sleep. Event wakes (an agen issue, a dispatch arrival,
      * a store-buffer push, an epoch bump) reach the scheduler through
-     * their ports; every step walks every waiting entry.
+     * their ports; every step walks every agen-issued waiting entry.
      */
     struct LsSummary
     {

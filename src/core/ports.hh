@@ -396,14 +396,36 @@ class DispatchPort
 };
 
 /**
+ * An issue-queue slot's exact earliest issue tick in `dom`, once no
+ * source is scoreboard-pending: its dispatch edge folded with each
+ * source's visibility there. The one ready-time fold of the issue
+ * clusters: select applies it to fresh and invalidated candidates,
+ * the completion port to the waiters it frees.
+ */
+inline Tick
+slotReadyAt(const IqSlot &s, const RegisterFiles &regs,
+            const CoreTiming &timing, DomainId dom)
+{
+    Tick t = s.issue_eligible;
+    for (PhysRef ref : {s.psrc1, s.psrc2}) {
+        if (ref.index < 0)
+            continue;
+        const PhysRegState &r = regs.state(ref);
+        t = std::max(t, timing.visibleAt(r.ready_at, r.producer, dom));
+    }
+    return t;
+}
+
+/**
  * The register completion/wake channel. A producing domain reports a
  * completed physical register; the port walks the waiter chains of
  * exactly that register in both issue queues and wakes the domains
  * that actually had a waiter, plus the front end when the completion
  * can unblock the ROB head — each when the value becomes visible
- * there. A woken waiter still joins its ready ring at once, in age
- * order; its cluster evaluates it at exactly the edge where the
- * reference scan first finds it ready.
+ * there. A waiter whose last pending source this was gets its ready
+ * time folded here and joins its queue's timer ring, so its cluster
+ * first handles it at exactly the edge where the reference scan
+ * finds it ready.
  */
 class CompletionPort
 {
@@ -416,20 +438,24 @@ class CompletionPort
     {}
 
     /**
-     * regs.complete + push-based wakeup. The waiter chains move
-     * exactly the ops waiting on this register onto their queue's
-     * ready ring; a domain with no waiter of `ref` keeps sleeping
-     * (`now` = the edge performing the completion, in the `producer`
-     * domain's step).
+     * regs.complete + push-based wakeup. The waiter chains release
+     * exactly the ops waiting on this register; a domain with no
+     * waiter of `ref` keeps sleeping (`now` = the edge performing the
+     * completion, in the `producer` domain's step).
      */
     void
     complete(PhysRef ref, Tick when, DomainId producer,
              size_t rob_idx, Tick now)
     {
         regs_.complete(ref, when, producer);
-        if (iq_int_.wakeWaiters(ref))
+        auto foldIn = [&](DomainId dom) {
+            return [this, dom](const IqSlot &s) {
+                return slotReadyAt(s, regs_, timing_, dom);
+            };
+        };
+        if (iq_int_.wakeWaiters(ref, foldIn(DomainId::Integer)))
             wake(DomainId::Integer, when, producer, now);
-        if (iq_fp_.wakeWaiters(ref))
+        if (iq_fp_.wakeWaiters(ref, foldIn(DomainId::FloatingPoint)))
             wake(DomainId::FloatingPoint, when, producer, now);
         // Retire blocks only on the ROB head: a younger op's
         // completion cannot unblock the front end, and once the head
@@ -529,11 +555,11 @@ class RedirectPort
 
 /**
  * The address-generation handoff from the integer cluster to the
- * load/store unit: records the agen completion on the op, clears the
- * LSQ entry's agen wait in place (push wakeup — the walk stops
- * skipping exactly this entry), and wakes the load/store domain when
- * the address becomes visible there (the walk's agen-visibility
- * gate, CoreTiming::visibleAt from Integer to LoadStore).
+ * load/store unit: records the agen completion on the op, puts the
+ * LSQ entry on its walk list (push wakeup — no walk visits an entry
+ * before this), and wakes the load/store domain when the address
+ * becomes visible there (the walk's agen-visibility gate,
+ * CoreTiming::visibleAt from Integer to LoadStore).
  */
 class AgenPort
 {
@@ -546,9 +572,7 @@ class AgenPort
     agenIssued(InFlightOp &op, Tick complete, Tick now)
     {
         op.agen_done = complete;
-        LsqEntry &le = lsq_.byId(op.lsq_id);
-        if (le.wait_kind == 1)
-            le.wait_kind = 0;
+        lsq_.agenIssued(op.lsq_id);
         hub_.wakeRaw(DomainId::LoadStore,
                      WakeHub::visibleWakeAt(timing_, DomainId::Integer,
                                             DomainId::LoadStore,

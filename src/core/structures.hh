@@ -177,10 +177,11 @@ constexpr std::int32_t kIqChainEnd = -1;
  *    only on the waiter chains of those registers and costs nothing
  *    until a completion walks the chain;
  *  - a *candidate* slot sits in the age-ordered ready ring, either
- *    needing (re-)evaluation of its source visibilities or already
- *    proven ready;
- *  - a *timed* slot has an exact future ready_at and sits in the
- *    ready_at-ordered timer ring until that tick.
+ *    needing (re-)evaluation of its source visibilities (a fresh
+ *    dispatch, an epoch invalidation) or already proven ready;
+ *  - a *timed* slot has an exact ready_at and sits in the
+ *    ready_at-ordered timer ring until that tick; the completion that
+ *    frees a waiter's last source times it directly.
  *
  * Slots live in a stable pool (ids survive until issue), so the side
  * structures hold 4-byte ids instead of moving slot records.
@@ -223,17 +224,19 @@ struct IqSlot
  *
  *  - per-physical-register *waiter chains* (intrusive, heads in
  *    wait_heads_): a completion wakes exactly the ops waiting on that
- *    register (wakeWaiters) and nothing else;
- *  - the *candidate ring* cand_: age-ordered (min-heap on seq) ids
- *    that select pops oldest-first, at most issue-width successful
- *    issues per edge;
+ *    register (wakeWaiters) and nothing else, folding the ready time
+ *    of each one it frees straight into the timer ring;
+ *  - the *candidate ring* cand_: age-ordered ids that select walks
+ *    oldest-first, at most issue-width successful issues per edge;
  *  - the *timer ring* timed_: ready_at-ordered (min-heap) ids with an
- *    exact future ready time; promoteDue moves matured ids to the
- *    candidate ring.
+ *    exact ready time; promoteDue moves matured ids to the candidate
+ *    ring.
  *
- * The owner (IssueCluster) performs source evaluation — it needs the
- * scoreboard and the clock grids — and drives the transitions; this
- * class owns the data structures and their invariants. The O(queue)
+ * The owner supplies source evaluation — it needs the scoreboard and
+ * the clock grids: the cluster's select walk for candidates, the
+ * completion port's fold for woken waiters (slotReadyAt in
+ * core/ports.hh, one function for both); this class owns the data
+ * structures and their invariants. The O(queue)
  * rebuild path exists only for clock-epoch bumps (invalidateTimes),
  * which stale every memoized grid extrapolation at once.
  */
@@ -315,11 +318,11 @@ class IssueQueue
 
     // ------------------------------------------------------------------
     // Candidate ring: slot ids in ascending age (seq) order, walked
-    // in place by select. Arrivals append at the tail (dispatch and
-    // mid-walk wakes are youngest); the rare out-of-order insert
-    // (a timed slot maturing among younger candidates, an old waiter
-    // waking) backs in from the tail. The seq key is cached next to
-    // the id so ordering never touches the slot pool.
+    // in place by select. Dispatch arrivals append at the tail (they
+    // are youngest); the rare out-of-order insert (a timed slot
+    // maturing among younger candidates) backs in from the tail. The
+    // seq key is cached next to the id so ordering never touches the
+    // slot pool.
     // ------------------------------------------------------------------
     bool hasCandidates() const { return !cand_.empty(); }
     size_t candCount() const { return cand_.size(); }
@@ -354,10 +357,9 @@ class IssueQueue
     /**
      * Walk candidates oldest-first, applying f(id) -> CandAction in
      * place (the reference scan's age order, restricted to the slots
-     * that can actually act). f may push new candidates (register
-     * wakes of ops younger than the one being walked) and frees
-     * issued slots itself; the walk hands each slot to f with its
-     * ring membership already cleared and restores it on Keep/Stop.
+     * that can actually act). f frees issued slots itself; the walk
+     * hands each slot to f with its ring membership already cleared
+     * and restores it on Keep/Stop.
      */
     template <typename F>
     void
@@ -438,8 +440,10 @@ class IssueQueue
     {
         IqSlot &s = slot(id);
         size_t k = static_cast<size_t>(si);
-        if (s.next_wait[k] != kIqNotChained)
-            return; // already recorded by an earlier evaluation.
+        // A chained slot stays parked until its last source frees it,
+        // so no evaluation ever finds one of its sources chained.
+        GALS_ASSERT(s.next_wait[k] == kIqNotChained,
+                    "issue-queue waiter chained twice on one source");
         size_t w = waitIndex(ref);
         s.next_wait[k] = wait_heads_[w];
         wait_heads_[w] =
@@ -447,13 +451,17 @@ class IssueQueue
     }
 
     /**
-     * A producer of `ref` issued: move every op waiting on it to the
-     * candidate ring for re-evaluation at this domain's next step.
-     * Returns true when any waiter moved (the caller wakes the
-     * domain); false means no op here cared about this completion.
+     * A producer of `ref` issued: every op waiting on it leaves the
+     * chain. One still chained on its other source stays parked; any
+     * other gets its exact ready time from `fold(slot)` at once and
+     * joins the timer ring (invalidateTimes re-folds it should a
+     * clock-grid change land first). Returns true when the chain held
+     * any waiter (the caller wakes the domain); false means no op
+     * here cared about this completion.
      */
+    template <typename F>
     bool
-    wakeWaiters(PhysRef ref)
+    wakeWaiters(PhysRef ref, F fold)
     {
         if (ref.index < 0 || wait_heads_.empty())
             return false;
@@ -468,7 +476,10 @@ class IssueQueue
             IqSlot &s = slot(id);
             node = s.next_wait[si];
             s.next_wait[si] = kIqNotChained;
-            pushCandidate(id, true);
+            if (s.next_wait[si ^ 1] != kIqNotChained)
+                continue; // still waits on its other source.
+            s.ready_at = fold(s);
+            pushTimed(id);
         }
         return true;
     }
@@ -590,15 +601,6 @@ struct LsqEntry
     bool issued = false;
     /** Monotone allocation id; doubles as the age order. */
     std::uint64_t id = 0;
-    /**
-     * 1 while this op's address generation has not issued, so the
-     * walk skips the entry with one compare; cleared directly by the
-     * issue path when it does (push wakeup via InFlightOp::lsq_id).
-     * 0 = evaluate fully. Every other wait (agen visibility, a busy
-     * MSHR, an older same-line store without data) is re-checked on
-     * each walk.
-     */
-    std::uint8_t wait_kind = 0;
     /** Stores: data captured (mirrors InFlightOp::store_ready; read
      * by the per-load disambiguation scan). */
     bool data_ready = false;
@@ -612,15 +614,19 @@ struct LsqEntry
  * side lists keep the per-edge work proportional to the entries that
  * can still change state, not the queue occupancy:
  *
- *  - pendingStores(): ids of stores whose data is not yet captured
- *    (the store-ready scan walks only these);
- *  - waitingLoads(): ids of loads not yet issued to the cache;
+ *  - pendingStores(): ids of stores whose address generation has
+ *    issued and whose data is not yet captured (the store-ready walk
+ *    touches only these);
+ *  - waitingLoads(): ids of loads whose address generation has issued
+ *    and that are not yet issued to the cache;
  *  - a flat age-ordered list of in-queue stores (line, id), so the
  *    per-load disambiguation scan touches only stores.
  *
- * The caller owns compaction of the two id lists (it knows which
- * entries changed state while iterating); the store list is
- * maintained here.
+ * An entry joins its walk list at its agen issue (agenIssued), never
+ * at allocation: until then no walk can act on it, and the agen port
+ * wakes the load/store domain when it joins. The caller owns
+ * compaction of the two id lists (it knows which entries changed
+ * state while iterating); the store list is maintained here.
  */
 class Lsq
 {
@@ -652,13 +658,27 @@ class Lsq
         e.line_addr = line_addr;
         e.id = id;
         ++count_;
-        if (is_store) {
+        if (is_store)
             stores_.push_back(StoreRec{line_addr, id});
-            pending_stores_.push_back(id);
-        } else {
-            waiting_loads_.push_back(id);
-        }
         return id;
+    }
+
+    /**
+     * Entry `id`'s address generation issued: it joins its walk list
+     * in age order. Agen issue mostly follows age, so the sorted
+     * insert backs in from the tail, like the candidate ring's.
+     */
+    void
+    agenIssued(std::uint64_t id)
+    {
+        auto &list = byId(id).is_store ? pending_stores_ : waiting_loads_;
+        size_t pos = list.size();
+        list.push_back(id);
+        while (pos > 0 && list[pos - 1] > id) {
+            list[pos] = list[pos - 1];
+            --pos;
+        }
+        list[pos] = id;
     }
 
     /** Mark the oldest not-yet-arrived entry as arrived. */
@@ -761,9 +781,9 @@ class Lsq
     }
 
     /**
-     * Ids of stores whose data is not yet captured, in age order (the
-     * store-ready walk touches only these; the caller compacts, as
-     * with the waiting loads).
+     * Ids of agen-issued stores whose data is not yet captured, in age
+     * order (the store-ready walk touches only these; the caller
+     * compacts, as with the waiting loads).
      */
     std::vector<std::uint64_t> &pendingStores()
     {
@@ -774,7 +794,8 @@ class Lsq
         return pending_stores_;
     }
 
-    /** Ids of loads not yet issued to the cache, in age order. */
+    /** Ids of agen-issued loads not yet issued to the cache, in age
+     * order. */
     std::vector<std::uint64_t> &waitingLoads()
     {
         return waiting_loads_;

@@ -244,22 +244,47 @@ TEST(IssueQueue, WaiterChainsWakeExactlyTheirRegister)
     iq.addWaiter(r9, a, 1); // a waits on both files.
     iq.addWaiter(r5, b, 0);
 
-    // Completing an unrelated register wakes nobody.
-    EXPECT_FALSE(iq.wakeWaiters(PhysRef{6, false}));
-    EXPECT_FALSE(iq.hasCandidates());
+    // The fold stands in for the completion port's slotReadyAt; it
+    // must run exactly for the slots a completion frees (logged by
+    // age key).
+    std::vector<SeqNum> folded;
+    auto fold = [&folded](Tick at) {
+        return [&folded, at](const IqSlot &s) {
+            folded.push_back(s.seq);
+            return at;
+        };
+    };
 
-    // Completing r5 wakes both waiters; a stays chained on r9.
-    EXPECT_TRUE(iq.wakeWaiters(r5));
-    EXPECT_EQ(iq.candCount(), 2u);
-    EXPECT_NE(iq.slot(a).next_wait[1], kIqNotChained);
+    // Completing an unrelated register wakes nobody.
+    EXPECT_FALSE(iq.wakeWaiters(PhysRef{6, false}, fold(0)));
+    EXPECT_TRUE(folded.empty());
+
+    // Completing r5 frees b, which lands in the timer ring at its
+    // folded time; a still waits on r9 and stays parked, unfolded.
+    EXPECT_TRUE(iq.wakeWaiters(r5, fold(700)));
+    EXPECT_EQ(folded, std::vector<SeqNum>{2});
+    EXPECT_FALSE(iq.hasCandidates());
+    EXPECT_EQ(iq.minTimed(), 700u);
+    EXPECT_TRUE(iq.slot(b).in_timed);
+    EXPECT_FALSE(iq.slot(b).needs_eval);
+    EXPECT_EQ(iq.slot(b).ready_at, 700u);
+    EXPECT_FALSE(iq.slot(a).in_timed || iq.slot(a).in_cand);
     EXPECT_EQ(iq.slot(a).next_wait[0], kIqNotChained);
+    EXPECT_NE(iq.slot(a).next_wait[1], kIqNotChained);
 
     // A second completion of the same register is a no-op chain walk.
-    EXPECT_FALSE(iq.wakeWaiters(r5));
+    EXPECT_FALSE(iq.wakeWaiters(r5, fold(0)));
+    EXPECT_EQ(folded.size(), 1u);
 
-    // The r9 chain still wakes a (dedup keeps it a single candidate).
-    EXPECT_TRUE(iq.wakeWaiters(r9));
+    // r9 frees a at an earlier folded time: the timer ring orders by
+    // ready time, and both arrive as proven-ready candidates in age
+    // order once due.
+    EXPECT_TRUE(iq.wakeWaiters(r9, fold(600)));
+    EXPECT_EQ(folded, (std::vector<SeqNum>{2, 1}));
+    EXPECT_EQ(iq.minTimed(), 600u);
+    iq.promoteDue(700);
     EXPECT_EQ(iq.candCount(), 2u);
+    EXPECT_FALSE(iq.slot(a).needs_eval);
     EXPECT_EQ(popOldest(iq), a);
     EXPECT_EQ(popOldest(iq), b);
 }
@@ -314,6 +339,32 @@ TEST(Lsq, ProgramOrderAndArrivals)
     lsq.popFront();
     EXPECT_TRUE(lsq.front().is_store);
     EXPECT_EQ(lsq.size(), 2u);
+}
+
+TEST(Lsq, EntriesJoinWalkListsAtAgenIssueInAgeOrder)
+{
+    Lsq lsq(8);
+    std::uint64_t ld0 = lsq.allocate(0, false, 100);
+    std::uint64_t st1 = lsq.allocate(1, true, 101);
+    std::uint64_t ld2 = lsq.allocate(2, false, 102);
+    std::uint64_t st3 = lsq.allocate(3, true, 103);
+    std::uint64_t ld4 = lsq.allocate(4, false, 104);
+    // Allocation alone puts nothing on a walk list.
+    EXPECT_TRUE(lsq.waitingLoads().empty());
+    EXPECT_TRUE(lsq.pendingStores().empty());
+
+    // Agen issues out of age order; each list stays age-ordered.
+    lsq.agenIssued(ld4);
+    lsq.agenIssued(st3);
+    lsq.agenIssued(ld0);
+    EXPECT_EQ(lsq.waitingLoads(), (std::vector<std::uint64_t>{ld0, ld4}));
+    EXPECT_EQ(lsq.pendingStores(), std::vector<std::uint64_t>{st3});
+    lsq.agenIssued(ld2);
+    lsq.agenIssued(st1);
+    EXPECT_EQ(lsq.waitingLoads(),
+              (std::vector<std::uint64_t>{ld0, ld2, ld4}));
+    EXPECT_EQ(lsq.pendingStores(),
+              (std::vector<std::uint64_t>{st1, st3}));
 }
 
 TEST(FuPool, AluWidthEnforced)

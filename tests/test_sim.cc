@@ -232,18 +232,18 @@ TEST(KernelCounters, PinnedSleepSchedule)
     };
     // Order: fe, int, fp, ls (DomainId).
     const Pin pins[] = {
-        {"gzip/sync", {7299, 11285, 1, 8559}, {60536, 56549, 0, 59275}},
-        {"gzip/mcd", {7458, 11925, 1, 8811}, {76405, 66839, 0, 73064}},
-        {"gzip/phase", {7506, 11756, 4, 7758},
-         {74178, 75169, 61113, 62951}},
-        {"art/sync", {12957, 19618, 1, 11304},
-         {149567, 142829, 0, 151142}},
-        {"art/mcd", {13113, 19728, 1, 11336},
-         {189567, 170540, 0, 186446}},
-        {"art/phase", {12915, 19733, 2, 10483},
-         {207340, 187039, 53995, 148119}},
-        {"gzip/pc4", {31302, 55901, 4, 38498},
-         {574949, 513491, 0, 553380}},
+        {"gzip/sync", {7299, 11285, 1, 8247}, {60536, 56549, 0, 59587}},
+        {"gzip/mcd", {7458, 11925, 1, 8498}, {76405, 66839, 0, 73377}},
+        {"gzip/phase", {7506, 11756, 4, 7486},
+         {74178, 75169, 61113, 63223}},
+        {"art/sync", {12957, 19618, 1, 10828},
+         {149567, 142829, 0, 151618}},
+        {"art/mcd", {13113, 19728, 1, 10856},
+         {189567, 170540, 0, 186926}},
+        {"art/phase", {12915, 19733, 2, 9966},
+         {207340, 187039, 53995, 148636}},
+        {"gzip/pc4", {31302, 55901, 4, 36761},
+         {574949, 513491, 0, 555117}},
     };
 
     obs::MetricsRegistry &m = obs::MetricsRegistry::instance();
