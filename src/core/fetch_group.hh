@@ -25,7 +25,6 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "predictor/hybrid_predictor.hh"
 #include "workload/uop.hh"
 
 namespace gals
@@ -35,7 +34,6 @@ namespace gals
 struct FetchedOp
 {
     MicroOp uop;
-    BranchPrediction pred{};
     bool mispredict = false;
 
     // Decode-invariant classification, filled at fetch so rename and

@@ -194,9 +194,9 @@ FrontEnd::doFetch(Tick now)
         f.dst_fp = f.needs_dst && f.uop.dst >= kFirstFpReg;
         bool is_branch = cls == OpClass::Branch;
         if (is_branch) {
-            f.pred = predictor_->predict(f.uop.pc);
-            predictor_->update(f.uop.pc, f.pred, f.uop.taken);
-            f.mispredict = f.pred.taken != f.uop.taken;
+            BranchPrediction pred = predictor_->predict(f.uop.pc);
+            predictor_->update(f.uop.pc, pred, f.uop.taken);
+            f.mispredict = pred.taken != f.uop.taken;
         }
         fetch_queue_.push(f, fe_ready);
         ++fetched;
@@ -319,7 +319,6 @@ FrontEnd::doRename(Tick now)
         op.seq = next_seq_++;
         op.domain = dom;
         op.is_mem = is_mem;
-        op.pred = f.pred;
         op.mispredict = f.mispredict;
         op.psrc1 = srcRef(f.uop.src1);
         op.psrc2 = srcRef(f.uop.src2);

@@ -47,7 +47,6 @@ IssueCluster::step(Tick now)
         if (iq_.full())
             return false;
         InFlightOp &op = rob_[idx];
-        op.issue_eligible = now;
         op.in_queue = true;
         std::int32_t id = iq_.alloc();
         IqSlot &slot = iq_.slot(id);
@@ -124,7 +123,6 @@ IssueCluster::step(Tick now)
             return IssueQueue::CandAction::Keep;
         }
         InFlightOp &op = rob_[slot.rob_idx];
-        op.issued = true;
         op.in_queue = false;
         if (agen) {
             // Hand off to the load/store unit: the port records the

@@ -21,7 +21,6 @@
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "core/regfile.hh"
-#include "predictor/hybrid_predictor.hh"
 #include "workload/uop.hh"
 
 namespace gals
@@ -65,10 +64,7 @@ struct InFlightOp
     PhysRef pdst;
     PhysRef old_pdst;
 
-    /** Earliest issue time (dispatch-depth pipe). */
-    Tick issue_eligible = 0;
     bool in_queue = false;
-    bool issued = false;
     /** Absolute completion time; kTickMax until known. */
     Tick complete_at = kTickMax;
     DomainId domain = DomainId::Integer;
@@ -88,7 +84,6 @@ struct InFlightOp
     bool store_ready = false;
 
     /** Branches. */
-    BranchPrediction pred{};
     bool mispredict = false;
 
     bool completed() const { return complete_at != kTickMax; }
