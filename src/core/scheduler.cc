@@ -3,6 +3,9 @@
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <set>
+#include <string>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -33,7 +36,14 @@ kernelFromEnv()
         return Kernel::EventDriven;
     if (std::strcmp(env, "reference") == 0)
         return Kernel::Reference;
-    warn("GALS_KERNEL=\"%s\" is not reference|event; using event", env);
+    // Every run reads the variable: report each bad value once per
+    // process, not once per sweep leaf.
+    static std::mutex mu;
+    static std::set<std::string> warned;
+    std::lock_guard<std::mutex> lock(mu);
+    if (warned.insert(env).second)
+        warn("GALS_KERNEL=\"%s\" is not reference|event; using event",
+             env);
     return Kernel::EventDriven;
 }
 

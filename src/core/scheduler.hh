@@ -56,7 +56,8 @@ enum class Kernel
 };
 
 /** Read GALS_KERNEL (reference|event); EventDriven when unset or
- * empty. Any other value warns and falls back to EventDriven. */
+ * empty. Any other value falls back to EventDriven and warns, once
+ * per process for each distinct value. */
 Kernel kernelFromEnv();
 
 /** Stop condition of one core: run until *progress >= target. */

@@ -213,6 +213,26 @@ TEST(Kernel, BadEnvWarnsOncePerRun)
     EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
 }
 
+TEST(Kernel, BadEnvWarnsOncePerProcess)
+{
+    // Every run reads GALS_KERNEL (its per-run meaning stays), but a
+    // value already reported is not reported again: two runs under
+    // one unknown value print one warning between them.
+    setenv("GALS_KERNEL", "bogus-twice", 1);
+    testing::internal::CaptureStderr();
+    for (int i = 0; i < 2; ++i) {
+        RunStats s = simulate(MachineConfig::bestSynchronous(),
+                              shrunk("gzip", 2'000));
+        EXPECT_GT(s.committed, 0u);
+    }
+    std::string err = testing::internal::GetCapturedStderr();
+    unsetenv("GALS_KERNEL");
+    const std::string warning = "warn: GALS_KERNEL=\"bogus-twice\"";
+    size_t first = err.find(warning);
+    ASSERT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
+}
+
 /**
  * The event kernel's sleep schedule, pinned exactly. A wasted step or
  * a missed skip changes no simulated byte, so no digest or golden can
