@@ -63,10 +63,9 @@ IssueCluster::step(Tick now)
         return true;
     });
 
-    // A landed period change staled every memoized ready time: timed
-    // and ready slots re-fold at this edge, including waiters the
-    // completion port timed since (chained waiters have no time yet;
-    // the completion freeing them folds on the current grid).
+    // A landed period change staled every memoized ready time, the
+    // ones the completion port folded since this queue last stepped
+    // included: timed and ready slots re-fold at this edge.
     if (iq_epoch_ != timing_.epoch()) {
         iq_.invalidateTimes();
         iq_epoch_ = timing_.epoch();
