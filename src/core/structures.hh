@@ -326,10 +326,9 @@ class IssueQueue
     pushCandidate(std::int32_t id, bool needs_eval)
     {
         IqSlot &s = slot(id);
-        if (needs_eval)
-            s.needs_eval = true;
-        if (s.in_cand)
-            return;
+        GALS_ASSERT(!s.in_cand && !s.in_timed,
+                    "candidate push of a slot already in a ring");
+        s.needs_eval = needs_eval;
         s.in_cand = true;
         CandEntry e{s.seq, id};
         size_t pos = cand_.size();
