@@ -14,8 +14,8 @@
  * An unknown section or an unwritable FILE fails before any simulation.
  *
  * The Program-Adaptive search is always staged and the synchronous
- * search the 64-point cross; `GALS_SWEEP=exhaustive sweep_cli --mode
- * study` and `sweep_cli --mode sync --full` run the exhaustive ones.
+ * search the 64-point cross; `sweep_cli --mode study --full` and
+ * `sweep_cli --mode sync --full` run the exhaustive ones.
  */
 
 #include <algorithm>

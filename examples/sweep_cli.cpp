@@ -10,7 +10,12 @@
  *   sweep_cli [--mode study|sync|adaptive|cmp] [--out FILE]
  *             [--benchmarks N] [--bench NAME] [--cores LIST]
  *             [--sim INSTRS] [--warmup INSTRS] [--cache-dir DIR]
- *             [--resume] [--full] [--verbose]
+ *             [--full] [--verbose]
+ *
+ * `--mode study` runs the paper's Figure 6 / Table 9 study with the
+ * staged Program-Adaptive search; `--full` makes that search the
+ * exhaustive 256-point one. `--mode sync` sweeps the 64-point cross
+ * of synchronous design points, or all 1,024 with `--full`.
  *
  * `--mode adaptive` runs the 256-point exhaustive Program-Adaptive
  * sweep for one benchmark (`--bench`, default the suite's first).
@@ -26,16 +31,16 @@
  * so an unwritable path fails at once instead of after the sweep.
  *
  * `--cache-dir DIR` enables the content-addressed result store
- * (sim/result_store.hh) on DIR, overriding GALS_RESULT_CACHE:
- * previously computed points — by any earlier run or code
- * version-compatible PR — are served from the store, and each fresh
- * point is checkpointed there the moment it completes, so a killed
- * run resumes instead of recomputing. Cached rows are value-exact,
- * so output stays byte-identical to a cache-off run. A stats line
+ * (sim/result_store.hh) on DIR: previously computed points — by any
+ * earlier run or code version-compatible PR — are served from the
+ * store, and each fresh point is checkpointed there the moment it
+ * completes, so a killed run resumes instead of recomputing. Cached
+ * rows are value-exact, so output stays byte-identical to a
+ * cache-off run. A stats line
  * ("result-store: H hits, M misses ...") goes to stderr when the
- * store is active. `--resume` is an explicit resume request: it
- * fails fast when no usable cache directory is configured (without
- * it, a dead cache dir degrades to a cold run with a warning).
+ * store is active. A DIR that cannot be created or written is a
+ * fatal error before any simulation. Without `--cache-dir` the store
+ * stays off.
  *
  * Tracing and metrics are the process-wide GALS_TRACE and GALS_METRICS
  * files (docs/observability.md); the metrics file carries the result
@@ -45,7 +50,6 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -76,7 +80,7 @@ usage()
         "                 [--benchmarks N] [--bench NAME]\n"
         "                 [--cores LIST] [--sim INSTRS]\n"
         "                 [--warmup INSTRS] [--cache-dir DIR]\n"
-        "                 [--resume] [--full] [--verbose]\n");
+        "                 [--full] [--verbose]\n");
     return 2;
 }
 
@@ -114,7 +118,6 @@ main(int argc, char **argv)
     std::uint64_t warmup_instrs = ~0ULL;
     bool full = false;
     bool verbose = false;
-    bool resume = false;
 
     for (int a = 1; a < argc; ++a) {
         std::string arg = argv[a];
@@ -146,8 +149,6 @@ main(int argc, char **argv)
                 parseIntegerArg("--warmup", value(), 0, LLONG_MAX));
         } else if (arg == "--cache-dir") {
             cache_dir = value();
-        } else if (arg == "--resume") {
-            resume = true;
         } else if (arg == "--full") {
             full = true;
         } else if (arg == "--verbose") {
@@ -171,13 +172,12 @@ main(int argc, char **argv)
     // writes its metrics.
     obs::ensureInitFromEnv();
 
-    // --cache-dir overrides GALS_RESULT_CACHE; either enables the
-    // content-addressed result store for every leaf simulation below.
-    if (!cache_dir.empty())
+    // --cache-dir enables the content-addressed result store for
+    // every leaf simulation below; an unusable DIR is a user error.
+    if (!cache_dir.empty()) {
         configureResultStore(cache_dir);
-    if (resume && !resultStore().enabled()) {
-        fatal("--resume needs a usable result cache (give --cache-dir "
-              "or set GALS_RESULT_CACHE)");
+        if (!resultStore().enabled())
+            fatal("cannot use '%s' as a result cache", cache_dir.c_str());
     }
 
     std::vector<WorkloadParams> suite = benchmarkSuite();
@@ -192,7 +192,9 @@ main(int argc, char **argv)
 
     std::string json;
     if (mode == "study") {
-        json = studyJson(runStudy(suite, sweepModeFromEnv(), verbose));
+        SweepMode search = full ? SweepMode::Exhaustive
+                                : SweepMode::Staged;
+        json = studyJson(runStudy(suite, search, verbose));
     } else if (mode == "sync") {
         json = syncSweepJson(sweepSynchronousRaw(suite, full),
                              suite.size(), full);

@@ -124,11 +124,10 @@ class Chip
   public:
     /** `workloads.size()` must equal `config.cores`; use
      * multiprogrammedMix (workload/suite.hh) to build mixes whose
-     * per-core RNG streams are independent. `kernel` defaults to
-     * GALS_KERNEL's choice, read once per chip. */
+     * per-core RNG streams are independent. */
     Chip(const ChipConfig &config,
          const std::vector<WorkloadParams> &workloads,
-         Kernel kernel = kernelFromEnv());
+         Kernel kernel = Kernel::EventDriven);
 
     /** Run every core's warmup + measured window; return per-core and
      * chip-level statistics. */

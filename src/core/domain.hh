@@ -5,10 +5,10 @@
  * The processor is composed of four independently clocked domain
  * units (front end, integer cluster, floating-point cluster,
  * load/store unit). Each unit owns its structures, controllers and
- * sleep summary, implements one `step()` per delivered clock edge,
- * and reports a `wakeBound()` — the earliest tick at which it could
- * do observable work again. Units never touch each other's wake
- * state directly: all cross-domain publication goes through the
+ * sleep summary, and implements one `step()` per delivered clock
+ * edge that returns its wake bound — the earliest tick at which it
+ * could do observable work again. Units never touch each other's
+ * wake state directly: all cross-domain publication goes through the
  * typed ports in core/ports.hh, which are the single owner of the
  * publication-order rule.
  *
@@ -126,8 +126,10 @@ class CoreTiming
      * Grid-change epoch: bumped whenever any domain clock applies a
      * period change. Tags every memoized grid extrapolation, all of
      * them per-domain wake state: the issue queues' ready times
-     * (IssueCluster::iq_epoch_), the front end's sleep summary and
-     * line-fill memo, and the redirect resume memo.
+     * (IssueCluster::iq_epoch_), the front end's line-fill memo and
+     * the redirect resume memo. A domain's own step-end bound needs
+     * no tag: the scheduler bumps the epoch only after the step and
+     * then re-steps the domain at its next edge.
      */
     std::uint32_t epoch() const { return epoch_; }
     void bumpEpoch() { ++epoch_; }
@@ -154,22 +156,15 @@ class Domain
     DomainId id() const { return id_; }
 
     /**
-     * Execute this domain's work for the edge at `now` and return
-     * wakeBound() — folding the bound into the step halves the
-     * scheduler's virtual dispatch per iteration (the reference
-     * kernel ignores the value).
-     */
-    virtual Tick step(Tick now) = 0;
-
-    /**
-     * Earliest tick at which this domain could do observable work
-     * given its state right after stepping (summaries recorded
+     * Execute this domain's work for the edge at `now` and return its
+     * wake bound: the earliest tick at which it could do observable
+     * work given its state right after stepping (summaries recorded
      * in-step); kTickMax parks the domain until a cross-domain port
      * re-arms it. Must be a lower bound: waking early is a wasted
      * no-op step, waking late would diverge from the reference
-     * kernel.
+     * kernel (which ignores the value).
      */
-    virtual Tick wakeBound() const = 0;
+    virtual Tick step(Tick now) = 0;
 
     /**
      * Resize the domain's own adaptive structure (kAdaptiveStructures)

@@ -549,7 +549,6 @@ FrontEnd::step(Tick now)
     if (pending_->active)
         reconfig_->applyPending(id_, now);
     fe_next_ = kTickMax;
-    fe_next_epoch_ = timing_.epoch();
     doRetire(now);
     doRename(now);
     doFetch(now);
@@ -569,24 +568,11 @@ FrontEnd::step(Tick now)
         if (validate_)
             validate_();
     }
-    return wakeBound();
-}
-
-Tick
-FrontEnd::wakeBound() const
-{
     // The stages recorded the exact next-progress tick while they ran
     // (fe_next_): retire-visibility times, fetch-group visibility
     // boundaries, I-cache line fills and redirect resumes. Everything
     // else is blocked on a cross-domain event, all of which arrive
     // through port wakes.
-    //
-    // Epoch guard, like the scan/walk summaries: when this domain's
-    // own period change landed right after the step, the recorded
-    // ticks extrapolate a grid that no longer exists — re-derive at
-    // the next edge.
-    if (fe_next_epoch_ != timing_.epoch())
-        return 0;
     return fe_next_;
 }
 

@@ -51,7 +51,6 @@ class FrontEnd final : public Domain
               ReconfigUnit &reconfig);
 
     Tick step(Tick now) override;
-    Tick wakeBound() const override;
 
     /** Re-partition the I-cache and predictor to Table 2 row
      * `index`. */
@@ -192,11 +191,12 @@ class FrontEnd final : public Domain
      * stage can do more work, accumulated by the stages *during* the
      * step (via feNote) instead of being re-derived afterwards.
      * kTickMax = every stage is blocked on a cross-domain event, all
-     * of which are covered by port wakes. Epoch-guarded like the
-     * scan/walk summaries.
+     * of which are covered by port wakes. Recorded afresh by every
+     * step; a period change landing after the step is the
+     * scheduler's to handle (it re-steps the domain at its next
+     * edge).
      */
     Tick fe_next_ = 0;
-    std::uint32_t fe_next_epoch_ = 0;
 
     /** Invariant-check cadence in front-end steps; 0 = off. */
     std::uint32_t inv_interval_ = 0;

@@ -152,9 +152,8 @@ IssueCluster::wakeBound() const
         // provably waiting for: candidates need this domain's next
         // edge, timed slots an exact future tick, chained waiters a
         // completion (the completion port's chain walk wakes us at
-        // the value's visibility), and a stale epoch a rebuild at the
-        // next edge.
-        if (iq_.hasCandidates() || iq_epoch_ != timing_.epoch())
+        // the value's visibility).
+        if (iq_.hasCandidates())
             return 0;
         w = std::min(w, iq_.minTimed());
     }

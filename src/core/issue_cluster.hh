@@ -40,7 +40,6 @@ class IssueCluster final : public Domain
     void wire(CorePorts &ports, ReconfigUnit &reconfig);
 
     Tick step(Tick now) override;
-    Tick wakeBound() const override;
 
     /** Queue-size controller sample (invoked from the front end's
      * rename, where the ILP tracker lives). */
@@ -64,6 +63,9 @@ class IssueCluster final : public Domain
     std::uint64_t srcEvals() const { return src_evals_; }
 
   private:
+    /** The bound step() returns (Domain::step). */
+    Tick wakeBound() const;
+
     const MachineConfig &cfg_;
     const AdaptiveConfig &cur_cfg_;
     Rob &rob_;

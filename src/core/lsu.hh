@@ -51,7 +51,6 @@ class LoadStoreUnit final : public Domain
     void wire(CorePorts &ports, ReconfigUnit &reconfig);
 
     Tick step(Tick now) override;
-    Tick wakeBound() const override;
 
     // ------------------------------------------------------------------
     // Cross-domain services.
@@ -105,6 +104,9 @@ class LoadStoreUnit final : public Domain
     std::uint64_t storeWalkVisits() const { return store_walk_; }
 
   private:
+    /** The bound step() returns (Domain::step). */
+    Tick wakeBound() const;
+
     /** Outcome of a load-issue attempt. */
     enum class LoadStart
     {

@@ -1,11 +1,6 @@
 #include "core/scheduler.hh"
 
 #include <array>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <set>
-#include <string>
 
 #include "common/logging.hh"
 #include "obs/trace.hh"
@@ -27,25 +22,6 @@ totalProgress(const CoreProgress *cores, int ncores)
 }
 
 } // namespace
-
-Kernel
-kernelFromEnv()
-{
-    const char *env = std::getenv("GALS_KERNEL");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "event") == 0)
-        return Kernel::EventDriven;
-    if (std::strcmp(env, "reference") == 0)
-        return Kernel::Reference;
-    // Every run reads the variable: report each bad value once per
-    // process, not once per sweep leaf.
-    static std::mutex mu;
-    static std::set<std::string> warned;
-    std::lock_guard<std::mutex> lock(mu);
-    if (warned.insert(env).second)
-        warn("GALS_KERNEL=\"%s\" is not reference|event; using event",
-             env);
-    return Kernel::EventDriven;
-}
 
 DomainScheduler::DomainScheduler(Domain *const *domains, Clock *clocks,
                                  int count, WakeFabric &fabric,

@@ -8,7 +8,7 @@
  * which a chip extends core-major):
  *
  *  - the *reference* kernel steps every domain at every edge and is
- *    the bit-identity oracle (GALS_KERNEL=reference);
+ *    the bit-identity oracle (Kernel::Reference);
  *  - the *event* kernel keeps a keyed calendar (in the WakeFabric) of
  *    each domain's earliest-possible-work tick, parks domains whose
  *    bound is unknown until a port re-arms them, and consumes
@@ -49,16 +49,10 @@ enum class Kernel
     /**
      * Step every domain at every edge, as the original simulator
      * did. Kept as the bit-identical oracle for the event kernel
-     * (see docs/kernel.md); also selectable with
-     * GALS_KERNEL=reference.
+     * (see docs/kernel.md).
      */
     Reference,
 };
-
-/** Read GALS_KERNEL (reference|event); EventDriven when unset or
- * empty. Any other value falls back to EventDriven and warns, once
- * per process for each distinct value. */
-Kernel kernelFromEnv();
 
 /** Stop condition of one core: run until *progress >= target. */
 struct CoreProgress

@@ -64,13 +64,8 @@ struct InFlightOp
     PhysRef pdst;
     PhysRef old_pdst;
 
-    bool in_queue = false;
     /** Absolute completion time; kTickMax until known. */
     Tick complete_at = kTickMax;
-    DomainId domain = DomainId::Integer;
-
-    /** Memory ops: slot sequence in the LSQ. */
-    bool is_mem = false;
     /** Memory ops: LSQ allocation id (wakes the entry at agen issue). */
     std::uint64_t lsq_id = 0;
     /**
@@ -80,9 +75,15 @@ struct InFlightOp
      * in its domain.
      */
     Tick agen_done = kTickMax;
+
+    // The 1-byte fields sit together after the 8-byte ones, so the
+    // struct carries no interior padding.
+    bool in_queue = false;
+    DomainId domain = DomainId::Integer;
+    /** Memory ops: slot sequence in the LSQ. */
+    bool is_mem = false;
     /** Stores: address and data captured, ready to retire. */
     bool store_ready = false;
-
     /** Branches. */
     bool mispredict = false;
 
@@ -588,13 +589,13 @@ class IssueQueue
 struct LsqEntry
 {
     size_t rob_idx = 0;
-    bool is_store = false;
     Addr line_addr = 0;
     /** Arrival at the load/store domain; kTickMax until then. */
     Tick arrived_at = kTickMax;
-    bool issued = false;
     /** Monotone allocation id; doubles as the age order. */
     std::uint64_t id = 0;
+    bool is_store = false;
+    bool issued = false;
     /** Stores: data captured (mirrors InFlightOp::store_ready; read
      * by the per-load disambiguation scan). */
     bool data_ready = false;

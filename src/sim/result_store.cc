@@ -2,10 +2,8 @@
 
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <ranges>
 #include <sstream>
 #include <type_traits>
@@ -570,46 +568,20 @@ ResultStore::statsLine() const
 // ----------------------------------------------------------------------
 // Global store.
 // ----------------------------------------------------------------------
-namespace
-{
-
 ResultStore &
-globalStore()
+resultStore()
 {
     static ResultStore store;
     return store;
 }
 
-/** One-time GALS_RESULT_CACHE pickup; configureResultStore overrides. */
-std::once_flag env_once;
-
-void
-initFromEnv()
-{
-    std::call_once(env_once, [] {
-        const char *env = std::getenv("GALS_RESULT_CACHE");
-        if (env != nullptr && *env != '\0')
-            globalStore().open(env);
-    });
-}
-
-} // namespace
-
-ResultStore &
-resultStore()
-{
-    initFromEnv();
-    return globalStore();
-}
-
 void
 configureResultStore(const std::string &dir)
 {
-    initFromEnv(); // settle the env pickup so it cannot race us later.
     if (dir.empty())
-        globalStore().close();
+        resultStore().close();
     else
-        globalStore().open(dir);
+        resultStore().open(dir);
 }
 
 // ----------------------------------------------------------------------

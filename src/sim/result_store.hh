@@ -25,9 +25,10 @@
  *    writer or a kill mid-write can never publish a torn record, and
  *    two processes racing on one key publish identical bytes (every
  *    payload is a deterministic function of the key);
- *  - caching defaults OFF: it activates only via GALS_RESULT_CACHE
- *    or `sweep_cli --cache-dir`, so determinism gates keep exercising
- *    the live simulator (docs/testing.md pins that policy).
+ *  - caching defaults OFF: it activates only through
+ *    configureResultStore (`sweep_cli --cache-dir`), never from the
+ *    environment, so determinism gates keep exercising the live
+ *    simulator (docs/testing.md pins that policy).
  *
  * Record layout (little-endian, docs/kernel.md "Result store"):
  *   u32 magic 'GRS1' | u32 tag_len, tag | u32 key_len, key
@@ -134,15 +135,13 @@ class ResultStore
     mutable std::atomic<bool> write_warned_{false};
 };
 
-/**
- * The process-wide store used by the sweep layer. First use reads
- * GALS_RESULT_CACHE (a directory path; unset/empty or unusable keeps
- * the store disabled, the latter with a logged warning).
- */
+/** The process-wide store used by the sweep layer; disabled until
+ * configureResultStore opens it. */
 ResultStore &resultStore();
 
 /** Point the global store at `dir` (empty string disables). Used by
- * `sweep_cli --cache-dir` and tests; call from one thread only. */
+ * `sweep_cli --cache-dir`, perfbench and tests; call from one thread
+ * only. */
 void configureResultStore(const std::string &dir);
 
 // ----------------------------------------------------------------------

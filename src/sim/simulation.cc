@@ -9,19 +9,8 @@ namespace gals
 {
 
 RunStats
-simulate(const MachineConfig &machine, const WorkloadParams &workload)
-{
-    RunStats stats = simulateWithKernel(machine, workload, kernelFromEnv());
-    // Process-lifetime run telemetry (obs/metrics.hh): one counter
-    // bump per completed run, far off the simulated hot path.
-    obs::MetricsRegistry::instance().add("sim.runs", 1);
-    return stats;
-}
-
-RunStats
-simulateWithKernel(const MachineConfig &machine,
-                   const WorkloadParams &workload, Kernel kernel,
-                   std::uint32_t invariant_interval)
+simulate(const MachineConfig &machine, const WorkloadParams &workload,
+         Kernel kernel, std::uint32_t invariant_interval)
 {
     ChipConfig cc;
     cc.machine = machine;
@@ -29,7 +18,11 @@ simulateWithKernel(const MachineConfig &machine,
     Chip chip(cc, {workload}, kernel);
     if (invariant_interval != 0)
         chip.setInvariantCheckInterval(invariant_interval);
-    return std::move(chip.run().cores[0]);
+    RunStats stats = std::move(chip.run().cores[0]);
+    // Process-lifetime run telemetry (obs/metrics.hh): one counter
+    // bump per completed run, far off the simulated hot path.
+    obs::MetricsRegistry::instance().add("sim.runs", 1);
+    return stats;
 }
 
 double

@@ -17,21 +17,17 @@
 namespace gals
 {
 
-/** Run `workload` on `machine`; returns window statistics. */
-RunStats simulate(const MachineConfig &machine,
-                  const WorkloadParams &workload);
-
 /**
- * Run with an explicit scheduler kernel (overrides GALS_KERNEL) and,
- * when `invariant_interval` is non-zero, deep structural invariant
- * checks every that many front-end steps. The differential harness
- * uses this to pin the event kernel bit-identical to the reference
- * oracle; see docs/testing.md.
+ * Run `workload` on `machine`; returns window statistics. `kernel`
+ * picks the scheduler kernel, and a non-zero `invariant_interval`
+ * runs deep structural invariant checks every that many front-end
+ * steps. The differential harness runs both kernels to pin the event
+ * kernel bit-identical to the reference oracle; see docs/testing.md.
  */
-RunStats simulateWithKernel(const MachineConfig &machine,
-                            const WorkloadParams &workload,
-                            Kernel kernel,
-                            std::uint32_t invariant_interval = 0);
+RunStats simulate(const MachineConfig &machine,
+                  const WorkloadParams &workload,
+                  Kernel kernel = Kernel::EventDriven,
+                  std::uint32_t invariant_interval = 0);
 
 /** Measured window runtime in nanoseconds. */
 double runtimeNs(const RunStats &stats);

@@ -61,7 +61,7 @@ runStudy(const std::vector<WorkloadParams> &suite, SweepMode mode,
         r.suite = wl.suite;
 
         // All three study legs are result-store leaves (cache hits
-        // with GALS_RESULT_CACHE set, plain simulate() otherwise).
+        // with a result store open, plain simulate() otherwise).
         r.sync_ns = runtimeNs(cachedSimulate(sync, wl));
 
         ProgramAdaptiveResult pa = findBestAdaptive(wl, mode);

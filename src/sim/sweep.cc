@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "cmp/chip.hh"
 #include "common/logging.hh"
@@ -15,18 +13,6 @@
 
 namespace gals
 {
-
-SweepMode
-sweepModeFromEnv()
-{
-    const char *env = std::getenv("GALS_SWEEP");
-    if (env == nullptr || *env == '\0' || std::strcmp(env, "staged") == 0)
-        return SweepMode::Staged;
-    if (std::strcmp(env, "exhaustive") == 0)
-        return SweepMode::Exhaustive;
-    warn("GALS_SWEEP=\"%s\" is not staged|exhaustive; using staged", env);
-    return SweepMode::Staged;
-}
 
 std::vector<AdaptiveConfig>
 allAdaptiveConfigs()

@@ -9,7 +9,8 @@
  * CPU-months). We reproduce both sweeps at scaled windows; because
  * that is still thousands of runs, a staged-greedy mode (optimize one
  * structure at a time, in dependence order) is the default and the
- * exhaustive mode is selected with GALS_SWEEP=exhaustive.
+ * exhaustive mode is selected by passing SweepMode::Exhaustive
+ * (`sweep_cli --mode study --full`).
  */
 
 #ifndef GALS_SIM_SWEEP_HH
@@ -31,10 +32,6 @@ enum class SweepMode
     Staged,     //!< greedy per-structure search (~13 runs).
     Exhaustive, //!< all 256 configurations.
 };
-
-/** Read GALS_SWEEP (staged|exhaustive); Staged when unset or empty.
- * Any other value warns and falls back to Staged. */
-SweepMode sweepModeFromEnv();
 
 /** Every adaptive configuration (256 points). */
 std::vector<AdaptiveConfig> allAdaptiveConfigs();

@@ -3,7 +3,7 @@
  * Shared differential-test harness.
  *
  * The event-driven kernel's contract is bit-identity with the
- * step-every-edge reference oracle (GALS_KERNEL=reference): every
+ * step-every-edge reference oracle (Kernel::Reference): every
  * paper table is a deterministic function of RunStats, so "close" is
  * a bug. This header provides the pieces the test suite composes:
  *
@@ -293,10 +293,8 @@ inline void
 expectKernelsAgree(const MachineConfig &m, const WorkloadParams &wl,
                    std::uint32_t invariant_interval = 0)
 {
-    RunStats event = simulateWithKernel(
-        m, wl, Kernel::EventDriven, invariant_interval);
-    RunStats oracle = simulateWithKernel(
-        m, wl, Kernel::Reference, invariant_interval);
+    RunStats event = simulate(m, wl, Kernel::EventDriven, invariant_interval);
+    RunStats oracle = simulate(m, wl, Kernel::Reference, invariant_interval);
     expectSameStats(event, oracle);
 }
 

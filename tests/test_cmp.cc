@@ -258,7 +258,7 @@ void
 expectKnobsInert(const ChipConfig &cc, const WorkloadParams &wl,
                  Kernel kernel)
 {
-    RunStats direct = simulateWithKernel(cc.machine, wl, kernel);
+    RunStats direct = simulate(cc.machine, wl, kernel);
     ChipRunStats cs = runChip(cc, {wl}, kernel);
     ASSERT_EQ(cs.cores.size(), 1u);
     expectSameStats(direct, cs.cores[0]);

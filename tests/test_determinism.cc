@@ -114,8 +114,8 @@ TEST(Determinism, EventKernelMatchesReferenceKernel)
             SCOPED_TRACE(std::string(cfg) + "/" + b);
             MachineConfig m = goldenMachine(cfg);
             expectSameStats(
-                simulateWithKernel(m, wl, Kernel::EventDriven),
-                simulateWithKernel(m, wl, Kernel::Reference));
+                simulate(m, wl, Kernel::EventDriven),
+                simulate(m, wl, Kernel::Reference));
         }
     }
 }
@@ -128,8 +128,8 @@ TEST(Determinism, EventKernelMatchesReferenceWithJitter)
     MachineConfig m = MachineConfig::mcdProgram({});
     m.jitter_sigma_ps = 20.0;
     expectSameStats(
-        simulateWithKernel(m, wl, Kernel::EventDriven),
-        simulateWithKernel(m, wl, Kernel::Reference));
+        simulate(m, wl, Kernel::EventDriven),
+        simulate(m, wl, Kernel::Reference));
 }
 
 TEST(Determinism, RepeatRunsAreIdentical)
@@ -175,7 +175,7 @@ TEST(Determinism, EventKernelMatchesReferenceUnderFrequentRelocks)
         m.icache_hysteresis = 0.0;
         m.queue_hysteresis = 0.0;
         expectSameStats(
-            simulateWithKernel(m, wl, Kernel::EventDriven),
-            simulateWithKernel(m, wl, Kernel::Reference));
+            simulate(m, wl, Kernel::EventDriven),
+            simulate(m, wl, Kernel::Reference));
     }
 }

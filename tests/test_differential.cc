@@ -74,10 +74,9 @@ TEST(Differential, ForcedFrequencyQueueGrowthIsBitIdentical)
         wl.sim_instrs = 4'000;
         wl.warmup_instrs = 500;
         SCOPED_TRACE(wl.name);
-        RunStats event =
-            simulateWithKernel(m, wl, Kernel::EventDriven, 0);
-        harness::expectSameStats(
-            event, simulateWithKernel(m, wl, Kernel::Reference, 0));
+        RunStats event = simulate(m, wl, Kernel::EventDriven, 0);
+        harness::expectSameStats(event,
+                                 simulate(m, wl, Kernel::Reference, 0));
         for (const ReconfigEvent &e : event.trace.events()) {
             bool queue = e.structure == Structure::IntIssueQueue ||
                          e.structure == Structure::FpIssueQueue;
@@ -109,8 +108,8 @@ TEST(Differential, MidFillRelockRegression)
     m.icache_hysteresis = 0.0;
     m.queue_hysteresis = 0.0;
 
-    RunStats event = simulateWithKernel(m, wl, Kernel::EventDriven, 64);
-    RunStats oracle = simulateWithKernel(m, wl, Kernel::Reference, 64);
+    RunStats event = simulate(m, wl, Kernel::EventDriven, 64);
+    RunStats oracle = simulate(m, wl, Kernel::Reference, 64);
     harness::expectSameStats(event, oracle);
 
     // The scenario must actually exercise the fix: re-locks and
@@ -151,8 +150,8 @@ TEST(Differential, ReadyListEpochBumpRegression)
     m.int_alus = 1;
     m.fp_alus = 1;
 
-    RunStats event = simulateWithKernel(m, wl, Kernel::EventDriven, 64);
-    RunStats oracle = simulateWithKernel(m, wl, Kernel::Reference, 64);
+    RunStats event = simulate(m, wl, Kernel::EventDriven, 64);
+    RunStats oracle = simulate(m, wl, Kernel::Reference, 64);
     harness::expectSameStats(event, oracle);
     EXPECT_GT(event.relocks, 0u); // bumps actually happened.
 
@@ -187,13 +186,12 @@ TEST(Differential, LsqPerEntryBoundsRegression)
     obs::MetricsRegistry &reg = obs::MetricsRegistry::instance();
     auto check = [&](const MachineConfig &m) {
         reg.clear();
-        RunStats event =
-            simulateWithKernel(m, wl, Kernel::EventDriven, 64);
+        RunStats event = simulate(m, wl, Kernel::EventDriven, 64);
         EXPECT_GT(reg.value("lsu.retry.mshr_busy"), 0u);
         EXPECT_GT(reg.value("lsu.retry.blocked"), 0u);
         reg.clear();
-        harness::expectSameStats(
-            event, simulateWithKernel(m, wl, Kernel::Reference, 64));
+        harness::expectSameStats(event,
+                                 simulate(m, wl, Kernel::Reference, 64));
     };
 
     MachineConfig m = MachineConfig::mcdProgram({1, 0, 2, 0});

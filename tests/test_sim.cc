@@ -141,98 +141,6 @@ TEST(Sweep, All256AdaptiveConfigsUnique)
         EXPECT_TRUE(seen.insert(c.str()).second);
 }
 
-TEST(Sweep, ModeFromEnv)
-{
-    unsetenv("GALS_SWEEP");
-    EXPECT_EQ(sweepModeFromEnv(), SweepMode::Staged);
-    setenv("GALS_SWEEP", "exhaustive", 1);
-    EXPECT_EQ(sweepModeFromEnv(), SweepMode::Exhaustive);
-    setenv("GALS_SWEEP", "staged", 1);
-    EXPECT_EQ(sweepModeFromEnv(), SweepMode::Staged);
-
-    // Anything but the two documented values warns, naming the
-    // variable and the value, and falls back to staged.
-    for (const char *bad : {"exhaustve", "Exhaustive", "exhaustive "}) {
-        setenv("GALS_SWEEP", bad, 1);
-        testing::internal::CaptureStderr();
-        EXPECT_EQ(sweepModeFromEnv(), SweepMode::Staged);
-        std::string err = testing::internal::GetCapturedStderr();
-        EXPECT_NE(err.find("warn: GALS_SWEEP=\"" + std::string(bad) +
-                           "\""),
-                  std::string::npos)
-            << err;
-    }
-    unsetenv("GALS_SWEEP");
-}
-
-TEST(Kernel, FromEnv)
-{
-    unsetenv("GALS_KERNEL");
-    EXPECT_EQ(kernelFromEnv(), Kernel::EventDriven);
-    setenv("GALS_KERNEL", "reference", 1);
-    EXPECT_EQ(kernelFromEnv(), Kernel::Reference);
-
-    // The documented values and an empty string log nothing.
-    for (const char *ok : {"event", ""}) {
-        setenv("GALS_KERNEL", ok, 1);
-        testing::internal::CaptureStderr();
-        EXPECT_EQ(kernelFromEnv(), Kernel::EventDriven);
-        EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-    }
-
-    // A user who asked for the oracle with a near miss is told so
-    // instead of silently getting the event kernel.
-    for (const char *bad : {"Reference", "ref", "oracle"}) {
-        setenv("GALS_KERNEL", bad, 1);
-        testing::internal::CaptureStderr();
-        EXPECT_EQ(kernelFromEnv(), Kernel::EventDriven);
-        std::string err = testing::internal::GetCapturedStderr();
-        EXPECT_NE(err.find("warn: GALS_KERNEL=\"" + std::string(bad) +
-                           "\""),
-                  std::string::npos)
-            << err;
-    }
-    unsetenv("GALS_KERNEL");
-}
-
-TEST(Kernel, BadEnvWarnsOncePerRun)
-{
-    // simulate() reads GALS_KERNEL once and hands the choice to its
-    // chip, so a bad value costs one warning per run, not one per
-    // reader.
-    setenv("GALS_KERNEL", "bogus", 1);
-    testing::internal::CaptureStderr();
-    RunStats s = simulate(MachineConfig::bestSynchronous(),
-                          shrunk("gzip", 2'000));
-    std::string err = testing::internal::GetCapturedStderr();
-    unsetenv("GALS_KERNEL");
-    EXPECT_GT(s.committed, 0u);
-    const std::string warning = "warn: GALS_KERNEL=\"bogus\"";
-    size_t first = err.find(warning);
-    ASSERT_NE(first, std::string::npos) << err;
-    EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
-}
-
-TEST(Kernel, BadEnvWarnsOncePerProcess)
-{
-    // Every run reads GALS_KERNEL (its per-run meaning stays), but a
-    // value already reported is not reported again: two runs under
-    // one unknown value print one warning between them.
-    setenv("GALS_KERNEL", "bogus-twice", 1);
-    testing::internal::CaptureStderr();
-    for (int i = 0; i < 2; ++i) {
-        RunStats s = simulate(MachineConfig::bestSynchronous(),
-                              shrunk("gzip", 2'000));
-        EXPECT_GT(s.committed, 0u);
-    }
-    std::string err = testing::internal::GetCapturedStderr();
-    unsetenv("GALS_KERNEL");
-    const std::string warning = "warn: GALS_KERNEL=\"bogus-twice\"";
-    size_t first = err.find(warning);
-    ASSERT_NE(first, std::string::npos) << err;
-    EXPECT_EQ(err.find(warning, first + 1), std::string::npos) << err;
-}
-
 /**
  * The event kernel's sleep schedule, pinned exactly. A wasted step or
  * a missed skip changes no simulated byte, so no digest or golden can
@@ -295,7 +203,7 @@ TEST(KernelCounters, PinnedSleepSchedule)
     size_t next = 0;
     for (const WorkloadParams *wl : {&gzip, &art}) {
         for (const MachineConfig &mc : machines) {
-            simulateWithKernel(mc, *wl, Kernel::EventDriven);
+            simulate(mc, *wl, Kernel::EventDriven);
             expectPinned(pins[next++]);
         }
     }
