@@ -29,6 +29,9 @@
  * `--sim/--warmup` shrink the measured window (defaults keep the
  * suite's own windows). `--out FILE` is opened before any simulation,
  * so an unwritable path fails at once instead of after the sweep.
+ * An unknown mode, or `--full`, `--bench` or `--cores` given to a
+ * mode that would ignore it, prints the usage and exits 2 before
+ * `--out` is touched.
  *
  * `--cache-dir DIR` enables the content-addressed result store
  * (sim/result_store.hh) on DIR: previously computed points — by any
@@ -51,6 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -109,8 +113,8 @@ int
 main(int argc, char **argv)
 {
     std::string mode = "study";
-    std::string bench;
-    std::string cores = "1,2,4,8,16";
+    std::optional<std::string> bench;
+    std::optional<std::string> cores;
     std::string out_path;
     std::string cache_dir;
     size_t benchmarks = 0; // 0 = whole suite.
@@ -158,6 +162,43 @@ main(int argc, char **argv)
         }
     }
 
+    // Reject an unknown mode, and any flag the chosen mode would
+    // ignore, before --out is opened (and truncated).
+    if (mode != "study" && mode != "sync" && mode != "adaptive" &&
+        mode != "cmp") {
+        std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
+        return usage();
+    }
+    const char *ignored = nullptr;
+    if (full && mode != "study" && mode != "sync")
+        ignored = "--full";
+    else if (bench && mode != "adaptive")
+        ignored = "--bench";
+    else if (cores && mode != "cmp")
+        ignored = "--cores";
+    if (ignored) {
+        std::fprintf(stderr, "%s does not apply to --mode %s\n",
+                     ignored, mode.c_str());
+        return usage();
+    }
+
+    // `--mode adaptive --bench NAME` sweeps NAME; the window overrides
+    // below apply to it like to any other suite.
+    std::vector<WorkloadParams> suite = benchmarkSuite();
+    if (bench)
+        suite = {findBenchmark(*bench)};
+    else if (benchmarks != 0 && benchmarks < suite.size())
+        suite.resize(benchmarks);
+    for (WorkloadParams &wl : suite) {
+        if (sim_instrs != 0)
+            wl.sim_instrs = sim_instrs;
+        if (warmup_instrs != ~0ULL)
+            wl.warmup_instrs = warmup_instrs;
+    }
+    std::vector<int> core_counts;
+    if (mode == "cmp")
+        core_counts = parseCoreList(cores.value_or("1,2,4,8,16"));
+
     // Open --out before simulating anything: a bad path is a user
     // error that must not cost a whole sweep first.
     std::ofstream out_file;
@@ -180,16 +221,6 @@ main(int argc, char **argv)
             fatal("cannot use '%s' as a result cache", cache_dir.c_str());
     }
 
-    std::vector<WorkloadParams> suite = benchmarkSuite();
-    if (benchmarks != 0 && benchmarks < suite.size())
-        suite.resize(benchmarks);
-    for (WorkloadParams &wl : suite) {
-        if (sim_instrs != 0)
-            wl.sim_instrs = sim_instrs;
-        if (warmup_instrs != ~0ULL)
-            wl.warmup_instrs = warmup_instrs;
-    }
-
     std::string json;
     if (mode == "study") {
         SweepMode search = full ? SweepMode::Exhaustive
@@ -199,27 +230,15 @@ main(int argc, char **argv)
         json = syncSweepJson(sweepSynchronousRaw(suite, full),
                              suite.size(), full);
     } else if (mode == "adaptive") {
-        // One benchmark over the 256 adaptive configuration points
-        // (the suite restrictions/window overrides above apply to it
-        // like to any other sweep).
-        WorkloadParams wl = suite.front();
-        if (!bench.empty()) {
-            wl = findBenchmark(bench);
-            if (sim_instrs != 0)
-                wl.sim_instrs = sim_instrs;
-            if (warmup_instrs != ~0ULL)
-                wl.warmup_instrs = warmup_instrs;
-        }
+        // One benchmark over the 256 adaptive configuration points.
+        const WorkloadParams &wl = suite.front();
         json = adaptiveSweepJson(sweepAdaptiveRaw(wl), wl.name);
-    } else if (mode == "cmp") {
-        std::vector<int> core_counts = parseCoreList(cores);
+    } else {
         std::vector<CmpPointResult> rows =
             sweepCmpRaw(suite, core_counts);
         if (verbose)
             std::fputs(renderCmpSummary(rows).c_str(), stdout);
         json = cmpSweepJson(rows, suite.size(), core_counts);
-    } else {
-        return usage();
     }
 
     if (out_path.empty()) {

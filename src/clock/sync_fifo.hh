@@ -77,6 +77,22 @@ class SyncFifo
      */
     Tick frontVisibleAt() const { return slots_[head_].visible_at; }
 
+    /**
+     * Number of leading entries visible at `now`, capped at `limit`.
+     * The walk stops at the first entry not yet visible, so an entry
+     * with an earlier time queued behind it is not counted: entries
+     * are consumed in order.
+     */
+    size_t
+    visibleCount(Tick now, size_t limit) const
+    {
+        size_t n = 0;
+        while (n < count_ && n < limit &&
+               slots_[wrap(head_ + n)].visible_at <= now)
+            ++n;
+        return n;
+    }
+
     /** True when any queued entry, visible or not, equals `v` (a
      * linear scan: the FIFOs hold a few entries in a flat ring). */
     bool

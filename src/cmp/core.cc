@@ -145,10 +145,6 @@ Core::validateInvariants() const
                     static_cast<unsigned long long>(i));
     }
 
-    // Fetch queue: group accounting matches occupancy and capacity.
-    GALS_ASSERT(fe_.fetchQueue().checkConsistent(),
-                "fetch-group queue accounting inconsistent");
-
     // LSQ: the store index and waiting-load list address only
     // in-queue entries, in age order, with matching entry kinds.
     const std::uint64_t first = lsq.firstId();

@@ -99,9 +99,9 @@ class Core
 
     /**
      * Run deep structural invariant checks (rename map vs free lists,
-     * ROB age order, fetch-group accounting, LSQ index consistency)
-     * every `every` front-end steps; 0 disables (the default). The
-     * differential harness turns this on.
+     * ROB age order, LSQ index consistency, issue-queue wakeup
+     * structures) every `every` front-end steps; 0 disables (the
+     * default). The differential harness turns this on.
      */
     void setInvariantCheckInterval(std::uint32_t every);
 

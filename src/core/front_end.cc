@@ -83,13 +83,13 @@ FrontEnd::beginMeasurementAtZero()
 // ---------------------------------------------------------------------
 
 Tick
-FrontEnd::icacheMissTime(Tick now)
+FrontEnd::icacheMissTime(Addr pc, Tick now)
 {
     // The unified L2 lives in the load/store domain: request and
     // response each cross a synchronizer.
     Tick t_req = timing_.crossingAt(now, DomainId::FrontEnd,
                                     DomainId::LoadStore);
-    Tick served = lsu_->serveIcacheFill(staged_op_->pc, t_req, now);
+    Tick served = lsu_->serveIcacheFill(pc, t_req, now);
     // The ready time below extrapolates the front-end grid from this
     // serve time; keep the serve time so a PLL re-lock landing while
     // the fill is in flight can recompute the extrapolation.
@@ -124,19 +124,17 @@ FrontEnd::doFetch(Tick now)
     // rename, which ran earlier this step.
     int space = static_cast<int>(
         std::min(static_cast<size_t>(cfg_.fetch_width),
-                 fetch_queue_.freeOps()));
+                 fetch_queue_.freeSlots()));
     int fetched = 0;
     while (fetched < space) {
-        if (!staged_op_) {
-            if (op_batch_head_ == op_batch_count_) {
-                workload_.nextBatch(op_batch_.data(), kOpBatch);
-                op_batch_head_ = 0;
-                op_batch_count_ = kOpBatch;
-            }
-            staged_op_ =
-                op_batch_[static_cast<size_t>(op_batch_head_++)];
+        if (op_batch_head_ == op_batch_count_) {
+            workload_.nextBatch(op_batch_.data(), kOpBatch);
+            op_batch_head_ = 0;
+            op_batch_count_ = kOpBatch;
         }
-        Addr line = staged_op_->pc >> line_shift;
+        const MicroOp &uop =
+            op_batch_[static_cast<size_t>(op_batch_head_)];
+        Addr line = uop.pc >> line_shift;
 
         if (line == cur_fetch_line_) {
             if (fetch_line_ready_ > now && fetch_line_is_fill_ &&
@@ -155,7 +153,7 @@ FrontEnd::doFetch(Tick now)
             }
         } else {
             bool sequential = line == cur_fetch_line_ + 1;
-            AccessOutcome out = l1i_->access(staged_op_->pc);
+            AccessOutcome out = l1i_->access(uop.pc);
             Tick ready;
             bool is_fill = false;
             switch (out.where) {
@@ -170,7 +168,7 @@ FrontEnd::doFetch(Tick now)
                                   fe_period;
                 break;
               default:
-                ready = icacheMissTime(now);
+                ready = icacheMissTime(uop.pc, now);
                 is_fill = true;
                 break;
             }
@@ -185,8 +183,8 @@ FrontEnd::doFetch(Tick now)
         }
 
         FetchedOp f;
-        f.uop = *staged_op_;
-        staged_op_.reset();
+        f.uop = uop;
+        ++op_batch_head_;
         OpClass cls = f.uop.cls;
         f.dom = execDomain(cls);
         f.is_mem = isMemOp(cls);
@@ -234,11 +232,11 @@ FrontEnd::doFetch(Tick now)
 void
 FrontEnd::doRename(Tick now)
 {
-    // Whole-group sizing: one walk over the (few) queued groups gives
-    // the consumable prefix, so the loop below runs without per-op
+    // Whole-batch sizing: one walk over the queue's visible prefix
+    // sizes the batch, so the loop below runs without per-op
     // visibility checks. One op beyond the decode width is enough to
     // distinguish "width-limited" from "drained everything visible".
-    size_t avail = fetch_queue_.visibleOps(
+    size_t avail = fetch_queue_.visibleCount(
         now, static_cast<size_t>(cfg_.decode_width) + 1);
     if (avail == 0)
         return;
@@ -367,7 +365,7 @@ FrontEnd::doRename(Tick now)
         // Width-limited with more visible ops queued: rename
         // continues at the very next edge. (Structural breaks are
         // covered by the retire and consumer-pop hooks; an invisible
-        // head group is covered by the group-boundary gate in
+        // head op is covered by the fetch-queue visibility gate in
         // step().)
         feNote(0);
     }
@@ -552,9 +550,9 @@ FrontEnd::step(Tick now)
     doRetire(now);
     doRename(now);
     doFetch(now);
-    // Group-boundary gate: queued ops (including ones fetch pushed
-    // this very edge, which rename ran too early to see) whose group
-    // becomes visible later wake rename exactly at that boundary. A
+    // Fetch-queue visibility gate: a queued head op (including one
+    // fetch pushed this very edge, which rename ran too early to see)
+    // that becomes visible later wakes rename exactly then. A
     // visible-but-unconsumed head means rename was structurally
     // blocked, which retire progress or consumer-pop ports unblock —
     // no timed wake.
@@ -569,8 +567,8 @@ FrontEnd::step(Tick now)
             validate_();
     }
     // The stages recorded the exact next-progress tick while they ran
-    // (fe_next_): retire-visibility times, fetch-group visibility
-    // boundaries, I-cache line fills and redirect resumes. Everything
+    // (fe_next_): retire-visibility times, fetch-queue visibility
+    // times, I-cache line fills and redirect resumes. Everything
     // else is blocked on a cross-domain event, all of which arrive
     // through port wakes.
     return fe_next_;

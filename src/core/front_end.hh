@@ -1,7 +1,7 @@
 /**
  * @file
- * The front-end domain unit: I-cache, branch predictor, fetch-group
- * queue, rename (ROB, register files) and retire.
+ * The front-end domain unit: I-cache, branch predictor, fetch queue,
+ * rename (ROB, register files) and retire.
  *
  * One front-end edge runs retire, rename and fetch in program-flow
  * order (retire frees resources rename needs; rename frees
@@ -10,6 +10,10 @@
  * execution domains, committed stores into the store buffer, the
  * halt/resume handshake with the resolving cluster — goes exclusively
  * through the typed ports (core/ports.hh).
+ *
+ * The fetch queue is a SyncFifo like every other timed hand-off in
+ * the core: each fetched op carries the tick at which rename may
+ * consume it (`now + feDepth * period`, the front-end pipe latency).
  */
 
 #ifndef GALS_CORE_FRONT_END_HH
@@ -18,12 +22,11 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "cache/accounting_cache.hh"
+#include "clock/sync_fifo.hh"
 #include "control/ilp_tracker.hh"
 #include "core/domain.hh"
-#include "core/fetch_group.hh"
 #include "core/machine_config.hh"
 #include "core/run_stats.hh"
 #include "core/structures.hh"
@@ -37,6 +40,20 @@ struct CorePorts;
 class IssueCluster;
 class LoadStoreUnit;
 class ReconfigUnit;
+
+/** One fetched op waiting for rename, with decode-invariant fields. */
+struct FetchedOp
+{
+    MicroOp uop;
+    bool mispredict = false;
+
+    // Decode-invariant classification, filled at fetch so rename and
+    // the front-end sleep gate never recompute it.
+    DomainId dom = DomainId::Integer;
+    bool is_mem = false;
+    bool needs_dst = false;
+    bool dst_fp = false;
+};
 
 /** Front end: fetch, rename, retire — the progress-owning domain. */
 class FrontEnd final : public Domain
@@ -84,7 +101,6 @@ class FrontEnd final : public Domain
         inv_interval_ = every;
         inv_countdown_ = every;
     }
-    std::uint32_t invariantInterval() const { return inv_interval_; }
 
     // ------------------------------------------------------------------
     // Structure access (invariants, statistics).
@@ -93,7 +109,6 @@ class FrontEnd final : public Domain
     Rob &rob() { return rob_; }
     const RegisterFiles &regs() const { return regs_; }
     RegisterFiles &regs() { return regs_; }
-    const FetchGroupQueue &fetchQueue() const { return fetch_queue_; }
     AccountingCache &l1i() { return *l1i_; }
     const AccountingCache &l1i() const { return *l1i_; }
     HybridPredictor &predictor() { return *predictor_; }
@@ -104,7 +119,7 @@ class FrontEnd final : public Domain
     void doRetire(Tick now);
     void doRename(Tick now);
     void doFetch(Tick now);
-    Tick icacheMissTime(Tick now);
+    Tick icacheMissTime(Addr pc, Tick now);
 
     // Phase-adaptive control (sampled at rename / retire).
     void controlCaches(Tick now);
@@ -135,7 +150,7 @@ class FrontEnd final : public Domain
     std::unique_ptr<HybridPredictor> predictor_;
     RegisterFiles regs_;
     Rob rob_;
-    FetchGroupQueue fetch_queue_;
+    SyncFifo<FetchedOp> fetch_queue_;
 
     // Fetch state.
     /** L1I A/B latencies of the live config (hoisted off doFetch). */
@@ -146,15 +161,17 @@ class FrontEnd final : public Domain
      * nextBatch() call instead of generating one op per fetch slot,
      * which takes the generator's call overhead off the per-op fetch
      * path; streams are bit-exact by construction (generation is
-     * open-loop). Ops past the progress target are generated but
-     * never consumed — the generator has no side effects outside its
-     * own state.
+     * open-loop). Fetch reads the next op in place at
+     * op_batch_[op_batch_head_] and advances the head only once the
+     * op is pushed, so an op stalled on an I-cache gate stays the
+     * head for the next edge. Ops past the progress target are
+     * generated but never consumed — the generator has no side
+     * effects outside its own state.
      */
     static constexpr int kOpBatch = 32;
     std::array<MicroOp, kOpBatch> op_batch_{};
     int op_batch_head_ = 0;
     int op_batch_count_ = 0;
-    std::optional<MicroOp> staged_op_;
     Addr cur_fetch_line_ = ~0ULL;
     Tick fetch_line_ready_ = 0;
     /**

@@ -268,6 +268,48 @@ TEST(SyncFifo, FreeSlotsTracksOccupancy)
     EXPECT_EQ(f.freeSlots(), 2u);
 }
 
+TEST(SyncFifo, VisibleCountStopsAtFirstInvisibleEntry)
+{
+    SyncFifo<int> f(4);
+    EXPECT_EQ(f.visibleCount(1000, 100), 0u);
+    // Two ops fetched at one edge, then two at a later edge.
+    f.push(1, 100);
+    f.push(2, 100);
+    f.push(3, 200);
+    f.push(4, 200);
+    EXPECT_EQ(f.visibleCount(99, 100), 0u);
+    EXPECT_EQ(f.visibleCount(100, 100), 2u);
+    EXPECT_EQ(f.visibleCount(199, 100), 2u);
+    EXPECT_EQ(f.visibleCount(200, 100), 4u);
+    // Capped at `limit`.
+    EXPECT_EQ(f.visibleCount(200, 3), 3u);
+    EXPECT_EQ(f.visibleCount(200, 0), 0u);
+
+    // The count wraps around the ring: the head sits in the last
+    // physical slot and the visible run continues from slot 0.
+    f.pop();
+    f.pop();
+    f.pop(); // head -> slot 3.
+    f.push(5, 200); // slot 0.
+    f.push(6, 300); // slot 1.
+    EXPECT_EQ(f.visibleCount(250, 100), 2u);
+    EXPECT_EQ(f.visibleCount(300, 100), 3u);
+    EXPECT_EQ(f.visibleCount(300, 2), 2u);
+
+    // After a period shrink an op can be visible before the one
+    // queued ahead of it. Ops are consumed in order, so it is not
+    // counted while the earlier one is still invisible.
+    SyncFifo<int> g(4);
+    g.push(1, 100);
+    g.push(2, 400);
+    g.push(3, 300);
+    EXPECT_EQ(g.visibleCount(350, 100), 1u);
+    EXPECT_EQ(g.visibleCount(400, 100), 3u);
+    g.pop();
+    EXPECT_FALSE(g.frontReady(350));
+    EXPECT_EQ(g.visibleCount(350, 100), 0u);
+}
+
 TEST(SyncFifo, OrderPreserved)
 {
     SyncFifo<int> f(8);

@@ -1,96 +1,13 @@
-/** @file Tests for ROB, issue queue, LSQ, store buffer, FUs, rename,
- * and the batched fetch-group queue. */
+/** @file Tests for ROB, issue queue, LSQ, store buffer, FUs and
+ * rename. */
 
 #include <gtest/gtest.h>
 
-#include "core/fetch_group.hh"
 #include "core/machine_config.hh"
 #include "core/regfile.hh"
 #include "core/structures.hh"
 
 using namespace gals;
-
-namespace
-{
-
-FetchedOp
-opAt(Addr pc)
-{
-    FetchedOp f;
-    f.uop.pc = pc;
-    return f;
-}
-
-} // namespace
-
-TEST(FetchGroupQueue, GroupsSharePushTimeVisibility)
-{
-    FetchGroupQueue q(8);
-    EXPECT_TRUE(q.empty());
-    // One fetch group: three ops pushed with one visibility time.
-    q.push(opAt(1), 100);
-    q.push(opAt(2), 100);
-    q.push(opAt(3), 100);
-    // A later group at a later edge.
-    q.push(opAt(4), 200);
-    q.push(opAt(5), 200);
-    EXPECT_EQ(q.size(), 5u);
-    EXPECT_EQ(q.groupCount(), 2u);
-    EXPECT_TRUE(q.checkConsistent());
-
-    // Visibility gates per group, and the visible prefix counts whole
-    // groups only.
-    EXPECT_EQ(q.visibleOps(99, 100), 0u);
-    EXPECT_EQ(q.visibleOps(100, 100), 3u);
-    EXPECT_EQ(q.visibleOps(199, 100), 3u);
-    EXPECT_EQ(q.visibleOps(200, 100), 5u);
-    EXPECT_FALSE(q.frontReady(99));
-    EXPECT_TRUE(q.frontReady(100));
-
-    EXPECT_EQ(q.front().uop.pc, 1u);
-    q.pop();
-    q.pop();
-    q.pop();
-    EXPECT_EQ(q.groupCount(), 1u);
-    EXPECT_EQ(q.frontVisibleAt(), 200u);
-    EXPECT_EQ(q.front().uop.pc, 4u);
-    EXPECT_TRUE(q.checkConsistent());
-}
-
-TEST(FetchGroupQueue, WrapAroundKeepsGroupAccounting)
-{
-    FetchGroupQueue q(4);
-    Tick t = 100;
-    Addr pc = 0;
-    Addr expect = 0;
-    // Cycle far past capacity with two-op groups so both rings wrap.
-    for (int round = 0; round < 25; ++round) {
-        while (q.canPush())
-            q.push(opAt(pc++), t);
-        EXPECT_EQ(q.freeOps(), 0u);
-        ASSERT_TRUE(q.checkConsistent());
-        q.pop();
-        q.pop();
-        EXPECT_EQ(q.front().uop.pc, expect + 2);
-        expect += 2;
-        t += 100;
-    }
-    EXPECT_GT(pc, 4u * 10u);
-}
-
-TEST(FetchGroupQueue, CapacityEnforced)
-{
-    FetchGroupQueue q(2);
-    EXPECT_EQ(q.freeOps(), 2u);
-    q.push(opAt(1), 10);
-    q.push(opAt(2), 20); // separate group (different visibility).
-    EXPECT_FALSE(q.canPush());
-    EXPECT_EQ(q.groupCount(), 2u);
-    q.pop();
-    EXPECT_TRUE(q.canPush());
-    EXPECT_EQ(q.groupCount(), 1u);
-    EXPECT_TRUE(q.checkConsistent());
-}
 
 TEST(Rob, CapacityAndAgePositions)
 {

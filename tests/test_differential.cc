@@ -5,7 +5,7 @@
  * step-every-edge reference oracle across a randomized
  * MachineConfig × workload × jitter space, while the per-stage
  * structural invariants (rename map ⊆ free-list complement, ROB age
- * order, fetch-group accounting, LSQ index consistency) hold
+ * order, LSQ index consistency, issue-queue wakeup structures) hold
  * throughout. This suite is the gate that lets performance PRs land
  * safely; see docs/testing.md.
  */
