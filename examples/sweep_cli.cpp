@@ -29,9 +29,9 @@
  * `--sim/--warmup` shrink the measured window (defaults keep the
  * suite's own windows). `--out FILE` is opened before any simulation,
  * so an unwritable path fails at once instead of after the sweep.
- * An unknown mode, or `--full`, `--bench` or `--cores` given to a
- * mode that would ignore it, prints the usage and exits 2 before
- * `--out` is touched.
+ * An unknown mode, or `--full`, `--bench`, `--cores` or `--benchmarks`
+ * given to a mode that would ignore it, prints the usage and exits 2
+ * before `--out` is touched.
  *
  * `--cache-dir DIR` enables the content-addressed result store
  * (sim/result_store.hh) on DIR: previously computed points — by any
@@ -174,6 +174,8 @@ main(int argc, char **argv)
         ignored = "--full";
     else if (bench && mode != "adaptive")
         ignored = "--bench";
+    else if (benchmarks != 0 && mode == "adaptive")
+        ignored = "--benchmarks";
     else if (cores && mode != "cmp")
         ignored = "--cores";
     if (ignored) {
@@ -187,7 +189,7 @@ main(int argc, char **argv)
     std::vector<WorkloadParams> suite = benchmarkSuite();
     if (bench)
         suite = {findBenchmark(*bench)};
-    else if (benchmarks != 0 && benchmarks < suite.size())
+    if (benchmarks != 0 && benchmarks < suite.size())
         suite.resize(benchmarks);
     for (WorkloadParams &wl : suite) {
         if (sim_instrs != 0)
