@@ -13,8 +13,8 @@
  * invalidations AND reconfiguration decisions, so a GALS_TRACE run
  * carries every event family for scripts/check_trace.py).
  *
- * `cores` must be 1..16 and `banks` 1..1024; anything else (or a
- * non-integer) exits with status 2.
+ * `cores` must be 1..16 and `banks` a power of two in 1..1024;
+ * anything else (or a non-integer) exits with status 2.
  */
 
 #include <cstdio>
@@ -35,6 +35,11 @@ main(int argc, char **argv)
     int banks = argc > 2 ? static_cast<int>(parseIntegerArg(
                                "banks", argv[2], 1, 1024))
                          : 4;
+    if ((banks & (banks - 1)) != 0) {
+        std::fprintf(stderr, "banks: '%d' is not a power of two\n",
+                     banks);
+        return 2;
+    }
     const bool sharing =
         argc > 3 && std::strcmp(argv[3], "sharing") == 0;
 

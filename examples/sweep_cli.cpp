@@ -29,9 +29,9 @@
  * `--sim/--warmup` shrink the measured window (defaults keep the
  * suite's own windows). `--out FILE` is opened before any simulation,
  * so an unwritable path fails at once instead of after the sweep.
- * An unknown mode, or `--full`, `--bench`, `--cores` or `--benchmarks`
- * given to a mode that would ignore it, prints the usage and exits 2
- * before `--out` is touched.
+ * An unknown mode, or `--full`, `--bench`, `--cores`, `--benchmarks` or
+ * `--verbose` given to a mode that would ignore it, prints the usage
+ * and exits 2 before `--out` is touched.
  *
  * `--cache-dir DIR` enables the content-addressed result store
  * (sim/result_store.hh) on DIR: previously computed points — by any
@@ -178,6 +178,8 @@ main(int argc, char **argv)
         ignored = "--benchmarks";
     else if (cores && mode != "cmp")
         ignored = "--cores";
+    else if (verbose && mode != "study" && mode != "cmp")
+        ignored = "--verbose";
     if (ignored) {
         std::fprintf(stderr, "%s does not apply to --mode %s\n",
                      ignored, mode.c_str());

@@ -65,7 +65,8 @@ class SharedL2
         int row = 0;
 
         int cores = 1;
-        /** Address-interleaved banks (line-granular). */
+        /** Address-interleaved banks (line-granular); a power of
+         * two. */
         int banks = 4;
         /**
          * Per-bank in-flight fill slots arbitrated across cores; a
@@ -103,13 +104,8 @@ class SharedL2
     int row() const { return row_; }
     int bankOf(Addr addr) const
     {
-        // Power-of-two bank counts (every config the sweeps and
-        // benches use) take the mask path: this sits on every L2
-        // request, and the general modulo costs a hardware divide.
-        Addr line = addr >> cache_.lineShift();
-        if (bank_mask_ != 0 || banks_.size() == 1)
-            return static_cast<int>(line & bank_mask_);
-        return static_cast<int>(line % static_cast<Addr>(banks_.size()));
+        return static_cast<int>((addr >> cache_.lineShift()) &
+                                bank_mask_);
     }
 
     // ------------------------------------------------------------------
@@ -251,8 +247,8 @@ class SharedL2
     AccountingCache cache_;
     MainMemory memory_;
     std::vector<Bank> banks_;
-    /** banks-1 when the bank count is a power of two, else 0. */
-    Addr bank_mask_ = 0;
+    /** banks - 1: the line-interleave mask. */
+    Addr bank_mask_;
     std::vector<PerCore> per_core_;
     /** One entry per shared-region line (empty when not coherent). */
     std::vector<DirEntry> directory_;

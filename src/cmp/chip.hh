@@ -47,7 +47,7 @@ struct ChipConfig
     MachineConfig machine;
     /** Cores on the chip (1..kMaxCores). */
     int cores = 1;
-    /** Shared-L2 banking (line-interleaved). */
+    /** Shared-L2 banking (line-interleaved; a power of two). */
     int l2_banks = 4;
     /** Per-bank in-flight fill slots arbitrated across cores
      * (0 = unbounded). */

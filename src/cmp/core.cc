@@ -46,16 +46,16 @@ Core::Core(const MachineConfig &config, const WorkloadParams &wl,
       ports_(hub_, timing_, cfg_, fe_.regs(), int_cluster_.iq(),
              fp_cluster_.iq(), fe_.rob(), lsu_.lsq()),
       epoch_port_(hub_, timing_),
-      reconfig_(cfg_, cur_cfg_, timing_, ports_.reclock),
+      reconfig_(cfg_, cur_cfg_, timing_, ports_.reclock, fe_.l1i(),
+                lsu_.l1d(), icp, core_index),
       domain_table_{&fe_, &int_cluster_, &fp_cluster_, &lsu_}
 {
     // Wire the port layer and shared services into the domain units.
-    fe_.wire(ports_, int_cluster_, fp_cluster_, lsu_, reconfig_);
+    fe_.wire(ports_, lsu_, reconfig_);
     int_cluster_.wire(ports_, reconfig_);
     fp_cluster_.wire(ports_, reconfig_);
     lsu_.wire(ports_, reconfig_);
     reconfig_.attachDomains(domain_table_);
-    reconfig_.setTraceBase(core_index_ * kNumDomains);
     for (Domain *d : domain_table_)
         d->attachPending(&reconfig_.pending(d->id()));
     fe_.onMeasureStart([this](Tick now) { base_ = counters(now); });

@@ -5,11 +5,12 @@
  * A Core owns the four domain units (front end, integer cluster,
  * floating-point cluster, load/store unit), their typed port set, the
  * per-core clock fabric view (CoreTiming + WakeHub window into the
- * chip's WakeFabric) and the PLL reconfiguration unit. It does *not*
- * own clocks, the L2 or the step loop: the Chip (cmp/chip.hh), the
- * one composition root, owns the flat clock array, the WakeFabric,
- * the shared L2 behind the interconnect port and the DomainScheduler,
- * and registers each core's domain units and epoch port with them.
+ * chip's WakeFabric) and the ReconfigUnit: the phase controller and
+ * its PLLs. It does *not* own clocks, the L2 or the step loop: the
+ * Chip (cmp/chip.hh), the one composition root, owns the flat clock
+ * array, the WakeFabric, the shared L2 behind the interconnect port
+ * and the DomainScheduler, and registers each core's domain units
+ * and epoch port with them.
  *
  * Core `c`'s domains occupy global indices
  * [c*kNumDomains, (c+1)*kNumDomains) — core-major, local order
@@ -124,7 +125,7 @@ class Core
     CoreTiming timing_;
     WakeHub hub_;
 
-    // Domain units (each owns its structures and controllers).
+    // Domain units (each owns its structures).
     FrontEnd fe_;
     IssueCluster int_cluster_;
     IssueCluster fp_cluster_;

@@ -77,4 +77,31 @@ cacheDecisionCycles()
     return cycles;
 }
 
+QueueDecision
+chooseIssueQueue(const IlpSample &sample, bool fp)
+{
+    QueueDecision d{};
+    d.best_index = 0;
+    double best = -1.0;
+    for (int k = 0; k < 4; ++k) {
+        auto m = fp ? sample.m_fp[static_cast<size_t>(k)]
+                    : sample.m_int[static_cast<size_t>(k)];
+        auto n = fp ? sample.n_fp[static_cast<size_t>(k)]
+                    : sample.n_int[static_cast<size_t>(k)];
+        double score = 0.0;
+        if (m > 0 && n > 0) {
+            double ilp = static_cast<double>(n) / m;
+            score = ilp * issueQueueFreqGHz(k);
+        }
+        d.score[static_cast<size_t>(k)] = score;
+        // Strict improvement required: ties go to the smaller, faster
+        // queue.
+        if (score > best + 1e-12) {
+            best = score;
+            d.best_index = k;
+        }
+    }
+    return d;
+}
+
 } // namespace gals

@@ -4,13 +4,13 @@
  *
  * The processor is composed of four independently clocked domain
  * units (front end, integer cluster, floating-point cluster,
- * load/store unit). Each unit owns its structures, controllers and
- * sleep summary, and implements one `step()` per delivered clock
- * edge that returns its wake bound — the earliest tick at which it
- * could do observable work again. Units never touch each other's
- * wake state directly: all cross-domain publication goes through the
- * typed ports in core/ports.hh, which are the single owner of the
- * publication-order rule.
+ * load/store unit). Each unit owns its structures and sleep summary,
+ * and implements one `step()` per delivered clock edge that returns
+ * its wake bound — the earliest tick at which it could do observable
+ * work again. Units never touch each other's wake state directly: all
+ * cross-domain publication goes through the typed ports in
+ * core/ports.hh, which are the single owner of the publication-order
+ * rule.
  *
  * `CoreTiming` is the shared clock fabric: the domain clocks, the
  * synchronizer rule between them, and the grid-change epoch that
@@ -37,36 +37,6 @@ struct PendingApply
     bool active = false;
     int target = 0;
     Tick apply_at = 0;
-};
-
-/** Persistence damper: act only on repeated agreeing decisions. */
-struct Damper
-{
-    int target = -1;
-    int count = 0;
-
-    /** Returns true when `proposal` has persisted `need` times. */
-    bool
-    vote(int proposal, int current, int need)
-    {
-        if (proposal == current) {
-            target = -1;
-            count = 0;
-            return false;
-        }
-        if (proposal == target) {
-            ++count;
-        } else {
-            target = proposal;
-            count = 1;
-        }
-        if (count >= need) {
-            target = -1;
-            count = 0;
-            return true;
-        }
-        return false;
-    }
 };
 
 /**

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "control/cache_controller.hh"
-#include "core/issue_cluster.hh"
 #include "core/lsu.hh"
 #include "core/ports.hh"
 #include "core/reconfig.hh"
@@ -48,13 +46,10 @@ FrontEnd::FrontEnd(const MachineConfig &cfg,
 }
 
 void
-FrontEnd::wire(CorePorts &ports, IssueCluster &int_cluster,
-               IssueCluster &fp_cluster, LoadStoreUnit &lsu,
+FrontEnd::wire(CorePorts &ports, LoadStoreUnit &lsu,
                ReconfigUnit &reconfig)
 {
     ports_ = &ports;
-    int_cluster_ = &int_cluster;
-    fp_cluster_ = &fp_cluster;
     lsu_ = &lsu;
     reconfig_ = &reconfig;
     lsq_ = &lsu.lsq();
@@ -336,8 +331,10 @@ FrontEnd::doRename(Tick now)
 
         if (cfg_.phase_adaptive) {
             ilp_tracker_.onRename(f.uop);
-            if (ilp_tracker_.sampleReady())
-                controlQueues(now);
+            if (ilp_tracker_.sampleReady()) {
+                reconfig_->queueSample(ilp_tracker_.takeSample(), now,
+                                       committed_);
+            }
         }
 
         // The op becomes issue-eligible after the synchronizer plus
@@ -477,8 +474,8 @@ FrontEnd::doRetire(Tick now)
         if (cfg_.phase_adaptive &&
             interval_commits_ >= cfg_.cache_interval_instrs) {
             interval_commits_ = 0;
-            flushResidency(); // controlCaches may change the config.
-            controlCaches(now);
+            flushResidency(); // the decisions may change the config.
+            reconfig_->cacheInterval(now, committed_);
         }
 
         if (done < chunk)
@@ -492,49 +489,6 @@ FrontEnd::doRetire(Tick now)
     flushResidency();
     if (retired_total != 0)
         last_commit_time_ = now;
-}
-
-// ---------------------------------------------------------------------
-// Phase-adaptive control orchestration. The cache-interval boundary
-// is observed at retire (this domain), but each structure's
-// controller state lives with its owning domain unit: the I-cache
-// damper here, the D-cache pair's in the load/store unit, the issue
-// queues' in their clusters.
-// ---------------------------------------------------------------------
-
-void
-FrontEnd::controlCaches(Tick now)
-{
-    const DCachePairConfig &dc = dcachePairConfig(cur_cfg_.dcache);
-    Tick fe_period = timing_.clock(DomainId::FrontEnd).period();
-    Tick ls_period = timing_.clock(DomainId::LoadStore).period();
-
-    Tick i_miss_extra =
-        2 * fe_period + static_cast<Tick>(dc.l2_a_lat) * ls_period;
-    CacheDecision di = chooseICache(l1i_->interval(), i_miss_extra);
-    CacheDecision dd = lsu_->decideDCache();
-    l1i_->resetInterval();
-    lsu_->resetDCacheIntervals();
-
-    int prop_i =
-        cacheClearlyBetter(di, cur_cfg_.icache,
-                           cfg_.icache_hysteresis)
-            ? di.best_index
-            : cur_cfg_.icache;
-    if (damp_icache_.vote(prop_i, cur_cfg_.icache,
-                          cfg_.cache_persistence)) {
-        reconfig_->request(Structure::ICache, prop_i, now,
-                           committed_);
-    }
-    lsu_->voteDCache(dd, now, committed_);
-}
-
-void
-FrontEnd::controlQueues(Tick now)
-{
-    IlpSample sample = ilp_tracker_.takeSample();
-    int_cluster_->control(sample, now, committed_);
-    fp_cluster_->control(sample, now, committed_);
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,11 @@
  * The fetch queue is a SyncFifo like every other timed hand-off in
  * the core: each fetched op carries the tick at which rename may
  * consume it (`now + feDepth * period`, the front-end pipe latency).
+ *
+ * On a phase-adaptive machine this step is where the core's phase
+ * controller (core/reconfig.hh) is sampled: retire hands it each
+ * cache-interval boundary and rename each completed ILP-tracker
+ * interval. The decisions and their state live there.
  */
 
 #ifndef GALS_CORE_FRONT_END_HH
@@ -37,7 +42,6 @@ namespace gals
 {
 
 struct CorePorts;
-class IssueCluster;
 class LoadStoreUnit;
 class ReconfigUnit;
 
@@ -63,8 +67,7 @@ class FrontEnd final : public Domain
              CoreTiming &timing, const WorkloadParams &wl);
 
     /** Connect ports and peer units (composition root, once). */
-    void wire(CorePorts &ports, IssueCluster &int_cluster,
-              IssueCluster &fp_cluster, LoadStoreUnit &lsu,
+    void wire(CorePorts &ports, LoadStoreUnit &lsu,
               ReconfigUnit &reconfig);
 
     Tick step(Tick now) override;
@@ -120,10 +123,6 @@ class FrontEnd final : public Domain
     void doRename(Tick now);
     void doFetch(Tick now);
     Tick icacheMissTime(Addr pc, Tick now);
-
-    // Phase-adaptive control (sampled at rename / retire).
-    void controlCaches(Tick now);
-    void controlQueues(Tick now);
 
     /**
      * Record a next-progress bound discovered during the current
@@ -188,9 +187,9 @@ class FrontEnd final : public Domain
     std::uint32_t fetch_line_epoch_ = 0;
     bool fetch_halted_ = false;
 
-    // Per-domain controller state.
+    /** Fed by rename; each completed interval is a queue sample for
+     * the phase controller (ReconfigUnit::queueSample). */
     IlpTracker ilp_tracker_;
-    Damper damp_icache_;
 
     // Progress.
     SeqNum next_seq_ = 0;
@@ -221,8 +220,6 @@ class FrontEnd final : public Domain
 
     // Wired peers (set once by wire()).
     CorePorts *ports_ = nullptr;
-    IssueCluster *int_cluster_ = nullptr;
-    IssueCluster *fp_cluster_ = nullptr;
     LoadStoreUnit *lsu_ = nullptr;
     ReconfigUnit *reconfig_ = nullptr;
     Lsq *lsq_ = nullptr;

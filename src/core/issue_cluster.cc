@@ -10,9 +10,8 @@ IssueCluster::IssueCluster(DomainId id, const MachineConfig &cfg,
                            const AdaptiveConfig &cur_cfg,
                            CoreTiming &timing, Rob &rob,
                            RegisterFiles &regs)
-    : Domain(id, timing), cfg_(cfg), cur_cfg_(cur_cfg), rob_(rob),
-      regs_(regs), iq_(kIssueQueueSizes[cur_cfg[structureOf(id)]]),
-      qctl_(id == DomainId::FloatingPoint)
+    : Domain(id, timing), cfg_(cfg), rob_(rob), regs_(regs),
+      iq_(kIssueQueueSizes[cur_cfg[structureOf(id)]])
 {
     fu_.alus = id == DomainId::Integer ? cfg.int_alus : cfg.fp_alus;
     iq_.initWaiterIndex(cfg.phys_int_regs, cfg.phys_fp_regs);
@@ -164,23 +163,6 @@ IssueCluster::wakeBound() const
     if (!disp_->empty() && !iq_.full())
         w = std::min(w, disp_->frontVisibleAt());
     return w;
-}
-
-void
-IssueCluster::control(const IlpSample &sample, Tick now,
-                      std::uint64_t committed)
-{
-    QueueDecision d = qctl_.decide(sample);
-    const Structure s = structureOf(id_);
-    int cur = cur_cfg_[s];
-    bool passes =
-        d.best_index != cur &&
-        d.score[static_cast<size_t>(d.best_index)] >
-            d.score[static_cast<size_t>(cur)] *
-                (1.0 + cfg_.queue_hysteresis);
-    int prop = passes ? d.best_index : cur;
-    if (damper_.vote(prop, cur, cfg_.queue_persistence))
-        reconfig_->request(s, prop, now, committed);
 }
 
 } // namespace gals

@@ -1,17 +1,17 @@
 /**
  * @file
  * An execution-cluster domain unit: one issue queue with its
- * push-based ready list, a function-unit pool, and the cluster's own
- * queue-size controller. The integer and floating-point domains are
- * two instances of this class; memory ops issue their
- * address-generation uop from the integer instance and hand off to
- * the load/store unit through the agen port.
+ * push-based ready list and a function-unit pool. The integer and
+ * floating-point domains are two instances of this class; memory ops
+ * issue their address-generation uop from the integer instance and
+ * hand off to the load/store unit through the agen port. The queue's
+ * size decisions belong to the core's ReconfigUnit
+ * (core/reconfig.hh), which resizes it through resizeStructure.
  */
 
 #ifndef GALS_CORE_ISSUE_CLUSTER_HH
 #define GALS_CORE_ISSUE_CLUSTER_HH
 
-#include "control/queue_controller.hh"
 #include "core/domain.hh"
 #include "core/machine_config.hh"
 #include "core/structures.hh"
@@ -30,8 +30,8 @@ class ReconfigUnit;
 class IssueCluster final : public Domain
 {
   public:
-    /** `cur_cfg` is the core's live AdaptiveConfig; this cluster's
-     * queue is the structure its domain owns. */
+    /** The queue starts at `cur_cfg`'s size for the structure this
+     * cluster's domain owns. */
     IssueCluster(DomainId id, const MachineConfig &cfg,
                  const AdaptiveConfig &cur_cfg, CoreTiming &timing,
                  Rob &rob, RegisterFiles &regs);
@@ -40,11 +40,6 @@ class IssueCluster final : public Domain
     void wire(CorePorts &ports, ReconfigUnit &reconfig);
 
     Tick step(Tick now) override;
-
-    /** Queue-size controller sample (invoked from the front end's
-     * rename, where the ILP tracker lives). */
-    void control(const IlpSample &sample, Tick now,
-                 std::uint64_t committed);
 
     /** Resize the issue queue to size index `index`. Occupancy above
      * a smaller capacity drains naturally. */
@@ -67,7 +62,6 @@ class IssueCluster final : public Domain
     Tick wakeBound() const;
 
     const MachineConfig &cfg_;
-    const AdaptiveConfig &cur_cfg_;
     Rob &rob_;
     RegisterFiles &regs_;
 
@@ -80,9 +74,6 @@ class IssueCluster final : public Domain
      * step (the one O(queue) path left in the back end).
      */
     std::uint32_t iq_epoch_ = 1;
-
-    QueueController qctl_;
-    Damper damper_;
 
     /** Walk-local work counts (observation only; Chip::run folds
      * them into the metrics registry once per run). */

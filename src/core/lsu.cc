@@ -66,7 +66,7 @@ LoadStoreUnit::l2TotalBHits() const
 }
 
 // ---------------------------------------------------------------------
-// Reconfiguration and control.
+// Reconfiguration.
 // ---------------------------------------------------------------------
 
 void
@@ -75,36 +75,6 @@ LoadStoreUnit::resizeStructure(int index)
     const DCachePairConfig &dc = dcachePairConfig(index);
     l1d_->setPartition(dc.l1_adapt.assoc, cfg_.phase_adaptive);
     icp_.reconfigure(core_index_, index);
-}
-
-CacheDecision
-LoadStoreUnit::decideDCache() const
-{
-    return chooseDCachePair(l1d_->interval(),
-                            icp_.interval(core_index_),
-                            memoryLineFillPs());
-}
-
-void
-LoadStoreUnit::resetDCacheIntervals()
-{
-    l1d_->resetInterval();
-    icp_.resetInterval(core_index_);
-}
-
-void
-LoadStoreUnit::voteDCache(const CacheDecision &dd, Tick now,
-                          std::uint64_t committed)
-{
-    int prop =
-        cacheClearlyBetter(dd, cur_cfg_.dcache, cfg_.cache_hysteresis)
-            ? dd.best_index
-            : cur_cfg_.dcache;
-    if (damp_dcache_.vote(prop, cur_cfg_.dcache,
-                          cfg_.cache_persistence)) {
-        reconfig_->request(Structure::DCachePair, prop, now,
-                           committed);
-    }
 }
 
 // ---------------------------------------------------------------------

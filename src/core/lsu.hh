@@ -1,8 +1,10 @@
 /**
  * @file
- * The load/store domain unit: LSQ, MSHRs and the L1 data cache, plus
- * the D-cache pair's controller. The unified L2 and main memory sit
- * behind the chip's interconnect port (core/ports.hh).
+ * The load/store domain unit: LSQ, MSHRs and the L1 data cache. The
+ * unified L2 and main memory sit behind the chip's interconnect port
+ * (core/ports.hh). The D-cache pair's phase decisions belong to the
+ * core's ReconfigUnit (core/reconfig.hh), which resizes the pair
+ * through resizeStructure.
  *
  * The unit serves three traffic classes per edge — dispatch arrivals
  * from the front end, the store-ready and load-issue walks over the
@@ -19,7 +21,6 @@
 #include <memory>
 
 #include "cache/accounting_cache.hh"
-#include "control/cache_controller.hh"
 #include "core/domain.hh"
 #include "core/machine_config.hh"
 #include "core/structures.hh"
@@ -67,15 +68,6 @@ class LoadStoreUnit final : public Domain
 
     /** L1D line shift (rename derives LSQ line addresses with it). */
     int dcacheLineShift() const { return l1d_->lineShift(); }
-
-    // ------------------------------------------------------------------
-    // D-cache pair controller (orchestrated from the front end's
-    // cache-interval boundary; the damper and decision live here).
-    // ------------------------------------------------------------------
-    CacheDecision decideDCache() const;
-    void resetDCacheIntervals();
-    void voteDCache(const CacheDecision &dd, Tick now,
-                    std::uint64_t committed);
 
     /** Re-partition the D-cache pair to Table 1 row `index`. */
     void resizeStructure(int index) override;
@@ -152,8 +144,6 @@ class LoadStoreUnit final : public Domain
     std::uint64_t retry_blocked_ = 0;
     std::uint64_t load_walk_ = 0;
     std::uint64_t store_walk_ = 0;
-
-    Damper damp_dcache_;
 
     // Wired peers.
     DispatchPort *disp_ = nullptr;

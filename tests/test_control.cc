@@ -1,18 +1,20 @@
 /**
  * @file
  * Tests for the adaptive control algorithms: the ILP timestamp
- * tracker, queue-size controller, cache controllers, and the
- * reconfiguration trace.
+ * tracker, the issue-queue and cache decisions, the phase
+ * controller's vote rule, and the reconfiguration trace.
  */
 
 #include <gtest/gtest.h>
 
 #include <functional>
 
+#include "cache/shared_l2.hh"
+#include "cmp/core.hh"
 #include "control/cache_controller.hh"
 #include "control/ilp_tracker.hh"
-#include "control/queue_controller.hh"
 #include "control/reconfig_trace.hh"
+#include "core/reconfig.hh"
 #include "timing/frequency_model.hh"
 
 using namespace gals;
@@ -140,7 +142,7 @@ TEST(IlpTracker, SamplesRestartCleanly)
 }
 
 // ---------------------------------------------------------------------
-// Queue controller.
+// Issue-queue decision.
 // ---------------------------------------------------------------------
 
 namespace
@@ -160,17 +162,17 @@ sampleWithMInt(std::uint32_t m16, std::uint32_t m32, std::uint32_t m48,
 
 TEST(QueueController, SerialCodePicksSmallestQueue)
 {
-    QueueController q(false);
     // Chain depth == window: ILP ~1 everywhere; frequency wins.
-    QueueDecision d = q.decide(sampleWithMInt(15, 31, 47, 63));
+    QueueDecision d =
+        chooseIssueQueue(sampleWithMInt(15, 31, 47, 63), false);
     EXPECT_EQ(d.best_index, 0);
 }
 
 TEST(QueueController, DistantParallelismPicksLargeQueue)
 {
-    QueueController q(false);
     // Four chains in long segments: M stays ~16 at every window.
-    QueueDecision d = q.decide(sampleWithMInt(15, 16, 16, 16));
+    QueueDecision d =
+        chooseIssueQueue(sampleWithMInt(15, 16, 16, 16), false);
     EXPECT_EQ(d.best_index, 3);
     // Score ratio beats the frequency ratio.
     EXPECT_GT(d.score[3], d.score[0]);
@@ -178,28 +180,202 @@ TEST(QueueController, DistantParallelismPicksLargeQueue)
 
 TEST(QueueController, AbundantNearParallelismStaysSmall)
 {
-    QueueController q(false);
     // ILP ~8 already visible at window 16: N/M grows linearly with N
     // only if M stays flat; here M grows proportionally.
-    QueueDecision d = q.decide(sampleWithMInt(2, 4, 6, 8));
+    QueueDecision d =
+        chooseIssueQueue(sampleWithMInt(2, 4, 6, 8), false);
     EXPECT_EQ(d.best_index, 0);
 }
 
 TEST(QueueController, NoEvidenceDefaultsToSmallest)
 {
-    QueueController q(true); // fp stream, but sample has no fp ops.
-    QueueDecision d = q.decide(sampleWithMInt(15, 16, 16, 16));
+    // fp stream, but the sample has no fp ops.
+    QueueDecision d =
+        chooseIssueQueue(sampleWithMInt(15, 16, 16, 16), true);
     EXPECT_EQ(d.best_index, 0);
     EXPECT_EQ(d.score[0], 0.0);
 }
 
 TEST(QueueController, MidWindowSweetSpot)
 {
-    QueueController q(false);
     // Two chains, segments of 16: window 32 sees both; windows 48/64
     // see no additional chains (M grows again).
-    QueueDecision d = q.decide(sampleWithMInt(15, 16, 24, 32));
+    QueueDecision d =
+        chooseIssueQueue(sampleWithMInt(15, 16, 24, 32), false);
     EXPECT_EQ(d.best_index, 1);
+}
+
+// ---------------------------------------------------------------------
+// The phase controller's vote rule (ReconfigUnit::queueSample): the
+// hysteresis margin picks a proposal, the persistence count decides
+// when it becomes a re-lock request (one ReconfigTrace event each).
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** A domain unit that does nothing; the rule under test only needs
+ * somewhere to dispatch resizes. */
+class IdleDomain final : public Domain
+{
+  public:
+    using Domain::Domain;
+    Tick step(Tick) override { return kTickMax; }
+    void resizeStructure(int) override {}
+};
+
+/** MCD phase-adaptive config, integer queue at `iq_int` at start. */
+MachineConfig
+phaseConfig(int iq_int, double queue_hysteresis)
+{
+    MachineConfig cfg = MachineConfig::mcdPhaseAdaptive();
+    cfg.adaptive.iq_int = iq_int;
+    cfg.queue_hysteresis = queue_hysteresis;
+    return cfg;
+}
+
+/** One core's ReconfigUnit over idle domains and a one-core L2. */
+struct ControllerRig
+{
+    explicit ControllerRig(const MachineConfig &c)
+        : cfg(c), cur(c.adaptive), clocks(makeCoreClocks(c, 0)),
+          timing(clocks.data(), false),
+          fabric(clocks.data(), kNumDomains),
+          hub(fabric, 0, kNumDomains), reclock(hub), l2(l2Params()),
+          icp(l2, 1),
+          unit(cfg, cur, timing, reclock, l1i, l1d, icp, 0)
+    {
+        unit.attachDomains({&fe, &int_cluster, &fp_cluster, &ls});
+    }
+
+    static SharedL2::Params
+    l2Params()
+    {
+        SharedL2::Params p;
+        p.cores = 1;
+        p.banks = 1;
+        return p;
+    }
+
+    /** Feed one sample at the current tick; returns the number of
+     * requests the unit has started so far. */
+    size_t
+    feed(const IlpSample &s)
+    {
+        unit.queueSample(s, now, 0);
+        return unit.trace().events().size();
+    }
+
+    /** Move past every re-lock window and land pending changes, as
+     * the domains' next steps would. */
+    void
+    settle()
+    {
+        now += 100'000'000; // 100 us: beyond any PLL lock time.
+        for (int d = 0; d < kNumDomains; ++d)
+            unit.applyPending(static_cast<DomainId>(d), now);
+    }
+
+    MachineConfig cfg;
+    AdaptiveConfig cur;
+    std::array<Clock, kNumDomains> clocks;
+    CoreTiming timing;
+    WakeFabric fabric;
+    WakeHub hub;
+    ReclockPort reclock;
+    AccountingCache l1i{"l1i", 64 * 1024, 4};
+    AccountingCache l1d{"l1d", 256 * 1024, 8};
+    SharedL2 l2;
+    InterconnectPort icp;
+    IdleDomain fe{DomainId::FrontEnd, timing};
+    IdleDomain int_cluster{DomainId::Integer, timing};
+    IdleDomain fp_cluster{DomainId::FloatingPoint, timing};
+    IdleDomain ls{DomainId::LoadStore, timing};
+    ReconfigUnit unit;
+    Tick now = 1'000'000;
+};
+
+// Integer-stream samples (no FP evidence, so the FP queue always
+// proposes its current size 0).
+const IlpSample kSerial = sampleWithMInt(15, 31, 47, 63);  // best 0.
+const IlpSample kDistant = sampleWithMInt(15, 16, 16, 16); // best 3.
+const IlpSample kMid = sampleWithMInt(15, 16, 24, 32);     // best 1.
+
+} // namespace
+
+TEST(PhaseController, ProposingTheCurrentConfigResetsTheCount)
+{
+    ControllerRig rig(phaseConfig(0, 0.08));
+    rig.cfg.queue_persistence = 3;
+    EXPECT_EQ(rig.feed(kDistant), 0u);
+    EXPECT_EQ(rig.feed(kDistant), 0u);
+    EXPECT_EQ(rig.feed(kSerial), 0u); // proposes size 0 = current.
+    EXPECT_EQ(rig.feed(kDistant), 0u);
+    EXPECT_EQ(rig.feed(kDistant), 0u);
+    ASSERT_EQ(rig.feed(kDistant), 1u);
+    EXPECT_EQ(rig.unit.trace().events()[0],
+              (ReconfigEvent{0, Structure::IntIssueQueue, 0, 3}));
+}
+
+TEST(PhaseController, NewProposalRestartsTheCountAtOne)
+{
+    ControllerRig rig(phaseConfig(0, 0.08));
+    rig.cfg.queue_persistence = 3;
+    EXPECT_EQ(rig.feed(kDistant), 0u);
+    EXPECT_EQ(rig.feed(kDistant), 0u);
+    EXPECT_EQ(rig.feed(kMid), 0u); // a different target: count 1.
+    EXPECT_EQ(rig.feed(kMid), 0u);
+    ASSERT_EQ(rig.feed(kMid), 1u);
+    EXPECT_EQ(rig.unit.trace().events()[0],
+              (ReconfigEvent{0, Structure::IntIssueQueue, 0, 1}));
+}
+
+TEST(PhaseController, RequestFiresAfterExactlyPersistenceThenCountResets)
+{
+    // Start at the largest queue: shrinking it speeds the clock up,
+    // so the change applies at once and its PLL stays busy through
+    // the lock window.
+    ControllerRig rig(phaseConfig(3, 0.08));
+    const int need = rig.cfg.queue_persistence;
+    ASSERT_GT(need, 1);
+    for (int i = 1; i < need; ++i)
+        ASSERT_EQ(rig.feed(kSerial), 0u) << "interval " << i;
+    ASSERT_EQ(rig.feed(kSerial), 1u);
+    EXPECT_EQ(rig.cur.iq_int, 0);
+
+    // Inside the lock window: `need` votes for size 3 fire a request
+    // the busy PLL drops, and the fire resets the count all the same.
+    for (int i = 0; i < need; ++i)
+        ASSERT_EQ(rig.feed(kDistant), 1u);
+    rig.settle();
+    for (int i = 1; i < need; ++i)
+        ASSERT_EQ(rig.feed(kDistant), 1u) << "interval " << i;
+    ASSERT_EQ(rig.feed(kDistant), 2u);
+    EXPECT_EQ(rig.unit.trace().events()[1],
+              (ReconfigEvent{0, Structure::IntIssueQueue, 0, 3}));
+}
+
+TEST(PhaseController, CandidateInsideTheMarginNeverProposes)
+{
+    // Size 1 scores ~4.7% above the current size 0: better, but
+    // inside the 8% margin.
+    const IlpSample close = sampleWithMInt(16, 21, 48, 64);
+    QueueDecision d = chooseIssueQueue(close, false);
+    ASSERT_EQ(d.best_index, 1);
+    ASSERT_GT(d.score[1], d.score[0]);
+    ASSERT_LT(d.score[1], d.score[0] * 1.08);
+
+    ControllerRig rig(phaseConfig(0, 0.08));
+    for (int i = 0; i < 4 * rig.cfg.queue_persistence; ++i) {
+        ASSERT_EQ(rig.feed(close), 0u) << "interval " << i;
+        rig.settle();
+    }
+
+    // Without the margin the same samples do propose.
+    ControllerRig bare(phaseConfig(0, 0.0));
+    for (int i = 1; i < bare.cfg.queue_persistence; ++i)
+        ASSERT_EQ(bare.feed(close), 0u);
+    EXPECT_EQ(bare.feed(close), 1u);
 }
 
 // ---------------------------------------------------------------------
