@@ -95,8 +95,10 @@ BENCHMARK(BM_ChipRunContended)->Arg(2)->Arg(4);
 int
 main(int argc, char **argv)
 {
+    if (!gals::parseBenchmarkFlags(argc, argv))
+        return 1;
     gals::benchBanner("Chip-multiprocessor host throughput",
                       "infrastructure measurement (items == total "
                       "committed instructions)");
-    return runRegisteredBenchmarks(argc, argv);
+    return runRegisteredBenchmarks();
 }

@@ -376,9 +376,13 @@ writeJson()
 int
 main(int argc, char **argv)
 {
+    // Flags first: --help or a bad flag must leave
+    // BENCH_sim_throughput.json untouched.
+    if (!gals::parseBenchmarkFlags(argc, argv))
+        return 1;
     gals::benchBanner("Simulator host throughput",
                       "infrastructure measurement (items == committed "
                       "instructions)");
     writeJson();
-    return runRegisteredBenchmarks(argc, argv);
+    return runRegisteredBenchmarks();
 }

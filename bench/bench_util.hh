@@ -40,13 +40,22 @@ benchBanner(const char *experiment, const char *paper_note)
                 "=========================\n");
 }
 
-/** Standard tail: run registered google-benchmark measurements. */
-inline int
-runRegisteredBenchmarks(int argc, char **argv)
+/**
+ * Standard head: parse google-benchmark's flags before the binary
+ * does any work (--help prints the usage and exits). Returns false
+ * after reporting an unrecognized flag.
+ */
+inline bool
+parseBenchmarkFlags(int &argc, char **argv)
 {
     benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
+    return !benchmark::ReportUnrecognizedArguments(argc, argv);
+}
+
+/** Standard tail: run registered google-benchmark measurements. */
+inline int
+runRegisteredBenchmarks()
+{
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     return 0;

@@ -59,7 +59,7 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="perf_smoke_") as tmp:
         # --benchmark_filter=NONE skips the google-benchmark timings;
-        # the JSON measurement pass always runs first.
+        # the JSON measurement pass runs once the flags parse.
         subprocess.run([str(bench), "--benchmark_filter=NONE"],
                        cwd=tmp, check=True,
                        stdout=subprocess.DEVNULL)

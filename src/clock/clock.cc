@@ -1,65 +1,30 @@
 #include "clock/clock.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 
 namespace gals
 {
 
-Clock::Clock(Tick period_ps, Tick first_edge, double jitter_sigma_ps,
-             std::uint64_t seed)
-    : period_ps_(period_ps), nominal_next_(first_edge),
-      next_edge_(first_edge), jitter_sigma_ps_(jitter_sigma_ps),
-      rng_(seed, 0x9e3779b97f4a7c15ULL)
+Clock::Clock(Tick period_ps, Tick first_edge)
+    : period_ps_(period_ps), next_edge_(first_edge)
 {
     GALS_ASSERT(period_ps > 0, "clock period must be positive");
 }
 
 void
-Clock::applyJitter()
-{
-    double j = rng_.nextGaussian(0.0, jitter_sigma_ps_);
-    double limit = 0.1 * static_cast<double>(period_ps_);
-    j = std::clamp(j, -limit, limit);
-    auto offset = static_cast<std::int64_t>(j >= 0 ? j + 0.5
-                                                   : j - 0.5);
-    if (offset < 0 && static_cast<Tick>(-offset) > nominal_next_)
-        offset = 0;
-    next_edge_ = static_cast<Tick>(
-        static_cast<std::int64_t>(nominal_next_) + offset);
-}
-
-void
 Clock::advanceWhileBelow(Tick t)
 {
-    while (next_edge_ < t) {
-        if (pending_period_ != 0 && nominal_next_ >= pending_when_) {
-            // The pending change lands on this edge. Jitter can
-            // deliver the landing edge *below* the caller's skip
-            // target even though its nominal position is at/after
-            // the change-due time the wake bounds were clamped to —
-            // so the landing is not skippable: it must be consumed
-            // by a real scheduler step (which broadcasts the epoch
-            // bump). Stop and leave it pending.
-            return;
-        }
-        if (jitter_sigma_ps_ == 0.0 && pending_period_ == 0) {
-            // Clean grid: every skipped edge is one period apart, so
-            // the whole stretch collapses to one jump. nominal_next_
-            // < t here, so delta >= 0 and k >= 1.
-            Tick delta = t - 1 - nominal_next_;
-            Tick k = delta / period_ps_ + 1;
-            cycle_ += k;
-            nominal_next_ += k * period_ps_;
-            next_edge_ = nominal_next_;
-            return;
-        }
-        // Jitter draws must happen exactly as they would have
-        // without skipping.
-        advance();
-    }
+    // The landing edge of a pending change is the first at or after
+    // its due time; every edge below that is one old period apart.
+    if (pending_period_ != 0)
+        t = std::min(t, pending_when_);
+    if (next_edge_ >= t)
+        return;
+    Tick k = (t - 1 - next_edge_) / period_ps_ + 1;
+    cycle_ += k;
+    next_edge_ += k * period_ps_;
 }
 
 void

@@ -2,39 +2,31 @@
  * @file
  * A clock for one GALS domain.
  *
- * The clock owns a period (ps), the absolute time of its next rising
- * edge, and an optional Gaussian edge jitter. Frequency changes are
- * applied at an edge boundary so cycles never overlap. The MCD
- * simulator advances whichever domain clock has the earliest next
- * edge; synchronizers query nextEdgeAfter() to decide when data
- * produced in another domain becomes visible here.
+ * The clock owns a period (ps) and the absolute time of its next
+ * rising edge: one exact grid, edge k at first edge + k x period.
+ * Frequency changes are applied at an edge boundary so cycles never
+ * overlap. The MCD simulator advances whichever domain clock has the
+ * earliest next edge; synchronizers query nextEdgeAfter() to decide
+ * when data produced in another domain becomes visible here.
  */
 
 #ifndef GALS_CLOCK_CLOCK_HH
 #define GALS_CLOCK_CLOCK_HH
 
-#include <algorithm>
-
-#include "common/random.hh"
 #include "common/types.hh"
 
 namespace gals
 {
 
-/** One domain clock: period, edge position, jitter, cycle count. */
+/** One domain clock: period, edge position, cycle count. */
 class Clock
 {
   public:
     /**
      * @param period_ps   initial clock period in picoseconds.
      * @param first_edge  absolute time of the first rising edge.
-     * @param jitter_sigma_ps standard deviation of per-edge jitter;
-     *                    0 disables jitter.
-     * @param seed        RNG seed for the jitter stream.
      */
-    explicit Clock(Tick period_ps, Tick first_edge = 0,
-                   double jitter_sigma_ps = 0.0,
-                   std::uint64_t seed = 1);
+    explicit Clock(Tick period_ps, Tick first_edge = 0);
 
     /** Absolute time of the next rising edge. */
     Tick nextEdge() const { return next_edge_; }
@@ -50,55 +42,47 @@ class Clock
 
     /**
      * Consume the pending edge: the domain has executed its cycle at
-     * nextEdge(). Applies any pending period change and jitter.
+     * nextEdge(). Applies any pending period change.
      */
     void
     advance()
     {
         ++cycle_;
 
-        if (pending_period_ != 0 && nominal_next_ >= pending_when_) {
+        if (pending_period_ != 0 && next_edge_ >= pending_when_) {
             period_ps_ = pending_period_;
             pending_period_ = 0;
             ++period_changes_;
         }
-
-        // The nominal grid is jitter-free; each delivered edge
-        // wobbles around its nominal position by a bounded,
-        // zero-mean draw, so jitter never accumulates into the grid.
-        nominal_next_ += period_ps_;
-        next_edge_ = nominal_next_;
-        if (jitter_sigma_ps_ > 0.0)
-            applyJitter();
+        next_edge_ += period_ps_;
     }
 
     /**
      * Consume every edge strictly before `t` without delivering them
-     * (the caller has proven the domain does nothing at those edges).
-     * Equivalent to calling advance() while nextEdge() < t, but jumps
-     * arithmetically when the grid is clean (no jitter, no pending
-     * period change); with jitter or a scheduled period change it
-     * steps edge by edge so the RNG stream and the change-application
-     * edge stay identical to the unskipped execution.
+     * (the caller has proven the domain does nothing at those edges),
+     * in one arithmetic jump. Equivalent to calling advance() while
+     * nextEdge() < t, except that it stops short of a pending period
+     * change's landing edge: that edge is left for advance(), so a
+     * skip never applies a change.
      */
     void advanceWhileBelow(Tick t);
 
     /**
-     * First edge strictly after time t, extrapolated on the nominal
-     * grid from the current edge position. Used by synchronizers.
+     * First edge strictly after time t, extrapolated on the grid from
+     * the current edge position. Used by synchronizers.
      * Hot path: most queries land on the current or next edge, so the
      * division is skipped for them.
      */
     Tick
     nextEdgeAfter(Tick t) const
     {
-        if (t < nominal_next_)
-            return nominal_next_;
-        Tick delta = t - nominal_next_;
+        if (t < next_edge_)
+            return next_edge_;
+        Tick delta = t - next_edge_;
         if (delta < period_ps_)
-            return nominal_next_ + period_ps_;
+            return next_edge_ + period_ps_;
         Tick steps = delta / period_ps_ + 1;
-        return nominal_next_ + steps * period_ps_;
+        return next_edge_ + steps * period_ps_;
     }
 
     /**
@@ -112,8 +96,8 @@ class Clock
 
     /**
      * Earliest time the pending change can land (it applies at the
-     * first consumed edge whose nominal position is at or after
-     * this). Only meaningful while changePending().
+     * first consumed edge at or after this). Only meaningful while
+     * changePending().
      */
     Tick changeDue() const { return pending_when_; }
 
@@ -126,21 +110,13 @@ class Clock
     std::uint64_t periodChanges() const { return period_changes_; }
 
   private:
-    /** Wobble next_edge_ around the nominal grid (cold path). */
-    void applyJitter();
-
     Tick period_ps_;
-    /** Jitter-free edge grid; jitter wobbles each edge around it. */
-    Tick nominal_next_;
     Tick next_edge_;
     Cycle cycle_ = 0;
 
     Tick pending_period_ = 0;
     Tick pending_when_ = 0;
     std::uint64_t period_changes_ = 0;
-
-    double jitter_sigma_ps_;
-    Pcg32 rng_;
 };
 
 } // namespace gals

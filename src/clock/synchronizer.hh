@@ -47,17 +47,17 @@ syncVisibleAt(Tick produced_at, const Clock &producer,
                                    static_cast<double>(faster));
     if (edge - produced_at < guard)
         edge += consumer.period();
-    // Report visibility a quarter period before the edge: consumer
-    // edges carry bounded jitter, and an edge arriving a few ps
-    // before the nominal grid must still be able to consume the data
-    // (otherwise every such wobble costs a spurious full cycle).
+    // Report visibility a quarter period before the edge. The margin
+    // is the model's visibility convention, not a timing uncertainty
+    // (clocks are exact grids; the guard band above is the only
+    // synchronization cost charged). Pinned results depend on it.
     return edge - std::min(margin, edge);
 }
 
 /**
  * Visibility of a value bypassed within one clock domain: usable at
  * the first consumer edge at or after production, reported a quarter
- * period early to absorb bounded edge jitter (the anti-wobble margin).
+ * period early (the visibility margin, as in syncVisibleAt).
  *
  * The margin never rewinds past the previous consumer edge; in
  * particular an early first edge (edge < period) reports the edge

@@ -24,11 +24,9 @@ buildClocks(const ChipConfig &cfg)
 {
     std::vector<Clock> clocks;
     clocks.reserve(static_cast<size_t>(cfg.cores) * kNumDomains);
-    for (int c = 0; c < cfg.cores; ++c) {
-        std::array<Clock, 4> four = makeCoreClocks(cfg.machine, c);
-        for (Clock &k : four)
-            clocks.push_back(k);
-    }
+    const std::array<Clock, 4> four = makeCoreClocks(cfg.machine);
+    for (int c = 0; c < cfg.cores; ++c)
+        clocks.insert(clocks.end(), four.begin(), four.end());
     return clocks;
 }
 

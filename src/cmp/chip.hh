@@ -2,9 +2,8 @@
  * @file
  * The GALS chip multiprocessor: N cores (1..kMaxCores), each
  * contributing its four domain units to one shared domain table with
- * per-core independent clocks, jitter streams and PLL
- * reconfiguration, composed around a shared banked L2 behind the
- * cross-core interconnect port.
+ * per-core clocks and PLL reconfiguration, composed around a shared
+ * banked L2 behind the cross-core interconnect port.
  *
  * The chip is the simulator's one composition root, for one core or
  * many: a flat clock array (global domain index = core * kNumDomains
@@ -21,9 +20,9 @@
  * are inert.
  *
  * Multiprogrammed runs give each core its own workload (and its own
- * RNG streams: workload, clocks-jitter and PLL draws are all keyed so
- * core 0 draws the single-core streams exactly); a finished core
- * halts while the others complete their windows.
+ * workload RNG stream, keyed so core 0 draws the single-core stream
+ * exactly); a finished core halts while the others complete their
+ * windows.
  */
 
 #ifndef GALS_CMP_CHIP_HH

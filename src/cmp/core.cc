@@ -6,25 +6,18 @@ namespace gals
 {
 
 std::array<Clock, 4>
-makeCoreClocks(const MachineConfig &cfg, int core_index)
+makeCoreClocks(const MachineConfig &cfg)
 {
     auto make = [&](DomainId d) {
         Tick period =
             periodPsFromGHz(cfg.domainFreqGHz(d, cfg.adaptive));
-        double jitter = cfg.mode == ClockingMode::MCD
-                            ? cfg.jitter_sigma_ps : 0.0;
         // Stagger MCD first edges so domains do not start artificially
-        // aligned; synchronous domains share one grid. The jitter
-        // stream is keyed by the *global* domain index so every core
-        // of a chip draws independently, and core 0's clocks do not
-        // depend on the core count.
-        int idx = static_cast<int>(d);
-        int global = core_index * kNumDomains + idx;
+        // aligned; synchronous domains share one grid.
+        Tick idx = static_cast<Tick>(d);
         Tick first = cfg.mode == ClockingMode::MCD
-                         ? period + (period * static_cast<Tick>(idx)) / 5
+                         ? period + (period * idx) / 5
                          : period;
-        return Clock(period, first, jitter,
-                     cfg.seed + 0x9e37 * static_cast<Tick>(global));
+        return Clock(period, first);
     };
     return {make(DomainId::FrontEnd), make(DomainId::Integer),
             make(DomainId::FloatingPoint), make(DomainId::LoadStore)};

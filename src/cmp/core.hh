@@ -37,12 +37,9 @@
 namespace gals
 {
 
-/** Per-domain clocks for one configured core. `core_index` keys the
- * jitter streams (global domain index), so every core of a chip gets
- * an independent stream while core 0 draws the same stream whatever
- * the core count. */
-std::array<Clock, 4> makeCoreClocks(const MachineConfig &cfg,
-                                    int core_index);
+/** Per-domain clocks for one configured core: exact grids, the same
+ * for every core of a chip. */
+std::array<Clock, 4> makeCoreClocks(const MachineConfig &cfg);
 
 /** One core executing one synthetic benchmark. */
 class Core

@@ -87,12 +87,6 @@ setQuiet(bool quiet)
     quiet_flag = quiet;
 }
 
-bool
-quiet()
-{
-    return quiet_flag;
-}
-
 std::string
 csprintf(const char *fmt, ...)
 {

@@ -51,9 +51,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Suppress warn()/inform() output (used by tests and sweeps). */
 void setQuiet(bool quiet);
 
-/** @return true when warn()/inform() are suppressed. */
-bool quiet();
-
 /** printf-style std::string formatter used across the project. */
 std::string csprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));

@@ -2,10 +2,10 @@
  * @file
  * Deterministic pseudo-random number generation.
  *
- * Every stochastic element of the simulator (clock jitter, PLL lock
- * times, synthetic workloads) draws from an explicitly seeded Pcg32
- * stream so that runs are exactly reproducible and independent streams
- * never perturb one another.
+ * Every stochastic element of the simulator (PLL lock times,
+ * synthetic workloads) draws from an explicitly seeded Pcg32 stream
+ * so that runs are exactly reproducible and independent streams never
+ * perturb one another.
  */
 
 #ifndef GALS_COMMON_RANDOM_HH

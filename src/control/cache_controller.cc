@@ -3,7 +3,6 @@
 #include "cache/cache_cost.hh"
 #include "common/types.hh"
 #include "timing/frequency_model.hh"
-#include "timing/gate_cost.hh"
 
 namespace gals
 {
@@ -68,13 +67,6 @@ chooseICache(const IntervalCounts &l1i, Tick miss_extra_ps)
         }
     }
     return d;
-}
-
-int
-cacheDecisionCycles()
-{
-    static const int cycles = GateCostModel().decisionCycles();
-    return cycles;
 }
 
 QueueDecision

@@ -57,9 +57,6 @@ CacheDecision chooseDCachePair(const IntervalCounts &l1,
 CacheDecision chooseICache(const IntervalCounts &l1i,
                            Tick miss_extra_ps);
 
-/** Cycles the decision hardware needs (paper: ~32; Table 4). */
-int cacheDecisionCycles();
-
 /**
  * True when a decision's best candidate beats the current
  * configuration by more than the hysteresis margin (the act-on-it

@@ -76,7 +76,7 @@ class CoreTiming
             return 0;
         if (same_domain_ || prod == cons) {
             // Bypass within one clock: usable at the first edge at or
-            // after production (with the same anti-wobble margin the
+            // after production (with the same visibility margin the
             // synchronizer applies; see clock/synchronizer.hh).
             return bypassVisibleAt(produced, clock(cons));
         }

@@ -60,7 +60,6 @@ MachineConfig::synchronous(int opt_icache, int dcache, int iq_int,
     c.adaptive.dcache = dcache;
     c.adaptive.iq_int = iq_int;
     c.adaptive.iq_fp = iq_fp;
-    c.jitter_sigma_ps = 0.0;
     return c;
 }
 

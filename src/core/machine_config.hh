@@ -168,14 +168,8 @@ struct MachineConfig
     // ------------------------------------------------------------------
     // Clocking.
     // ------------------------------------------------------------------
-    /**
-     * Per-edge Gaussian clock jitter (MCD domains); 0 disables.
-     * Synchronization-time uncertainty is already captured by the
-     * 30%-of-the-faster-period guard band (as in the MCD simulator's
-     * synchronizer model), so the default leaves the edge grid
-     * clean; set a sigma to additionally wobble delivered edges.
-     */
-    double jitter_sigma_ps = 0.0;
+    /** Seed of the PLL lock-time draws (the only clocking randomness:
+     * domain clocks are exact grids). */
     std::uint64_t seed = 12345;
     /**
      * Ablation hook: when positive, every domain runs at this
@@ -256,7 +250,7 @@ void
 forEachField(M &m, F &&f)
 {
     auto &[mode, phase, adaptive, sync_ic, fq, fw, dw, iw, rw, rob, pint,
-           pfp, lsq, sb, ialu, falu, mp, mshr, dfifo, jit, seed, ff, ival,
+           pfp, lsq, sb, ialu, falu, mp, mshr, dfifo, seed, ff, ival,
            pll, qhys, chys, ihys, qper, cper] = m;
     auto &[ic, dc, qi, qf] = adaptive;
     auto &[pll_m, pll_s, pll_lo, pll_hi] = pll;
@@ -264,10 +258,10 @@ forEachField(M &m, F &&f)
     f("qf", qf); f("sync_ic", sync_ic); f("fq", fq); f("fw", fw); f("dw", dw);
     f("iw", iw); f("rw", rw); f("rob", rob); f("pint", pint); f("pfp", pfp);
     f("lsq", lsq); f("sb", sb); f("ialu", ialu); f("falu", falu); f("mp", mp);
-    f("mshr", mshr); f("dfifo", dfifo); f("jit", jit); f("seed", seed);
-    f("ff", ff); f("ival", ival); f("pll_m", pll_m); f("pll_s", pll_s);
-    f("pll_lo", pll_lo); f("pll_hi", pll_hi); f("qhys", qhys); f("chys", chys);
-    f("ihys", ihys); f("qper", qper); f("cper", cper);
+    f("mshr", mshr); f("dfifo", dfifo); f("seed", seed); f("ff", ff);
+    f("ival", ival); f("pll_m", pll_m); f("pll_s", pll_s); f("pll_lo", pll_lo);
+    f("pll_hi", pll_hi); f("qhys", qhys); f("chys", chys); f("ihys", ihys);
+    f("qper", qper); f("cper", cper);
 }
 
 } // namespace gals

@@ -57,17 +57,22 @@ DomainScheduler::advanceClock(int d)
     return true;
 }
 
-void
+Cycle
 DomainScheduler::advanceClockWhileBelow(int d, Tick t)
 {
     Clock &c = clocks_[static_cast<size_t>(d)];
-    std::uint64_t before = c.periodChanges();
+    // Every wake bound is clamped to changeDue, so a skip never
+    // reaches a pending period change's landing edge: a real step
+    // delivers it (the epoch bump broadcasts there).
+    GALS_ASSERT(!c.changePending() || t <= c.changeDue(),
+                "proven-idle skip past a pending period change");
+    Cycle before = c.cycle();
     c.advanceWhileBelow(t);
-    // A pending period change can never land inside a proven-idle
-    // skip: every schedule bound is clamped to changeDue, so the
-    // landing edge is always delivered by a real step.
-    GALS_ASSERT(c.periodChanges() == before,
-                "period change landed inside a proven-idle skip");
+    // The caller skips only when `t` is above the current edge, and
+    // on an exact grid that edge is not the landing one.
+    GALS_ASSERT(c.cycle() != before,
+                "proven-idle skip consumed no edge");
+    return c.cycle() - before;
 }
 
 void
@@ -176,20 +181,11 @@ DomainScheduler::runEvent(const CoreProgress *cores, int ncores)
         Tick edge = clocks_[di].nextEdge();
         if (fabric_.bound(d) > edge) {
             // Proven-idle edges: consume them without stepping, then
-            // re-key on the first edge at or after the wake time. The
-            // skip refuses to cross a pending period change's landing
-            // edge (jitter can deliver it below the wake bound); no
-            // progress means this very edge is the landing — fall
-            // through and deliver it with a real step, so the epoch
-            // bump broadcasts.
-            Cycle before = clocks_[di].cycle();
-            advanceClockWhileBelow(d, fabric_.bound(d));
-            ctr.skipped_edges[kind] += clocks_[di].cycle() - before;
-            Tick ne = clocks_[di].nextEdge();
-            if (ne != edge) {
-                fabric_.setKey(d, ne);
-                continue;
-            }
+            // re-key on the first edge at or after the wake time.
+            ctr.skipped_edges[kind] +=
+                advanceClockWhileBelow(d, fabric_.bound(d));
+            fabric_.setKey(d, clocks_[di].nextEdge());
+            continue;
         }
         if (obs::tracing())
             obs::Tracer::instance().domainStep(d, edge,

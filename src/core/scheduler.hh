@@ -108,8 +108,9 @@ class DomainScheduler
     /** advance() + epoch-bump broadcast when a period change lands;
      * returns true when a change landed on the consumed edge. */
     bool advanceClock(int d);
-    /** Consume proven-idle edges of domain d strictly below `t`. */
-    void advanceClockWhileBelow(int d, Tick t);
+    /** Consume proven-idle edges of domain d strictly below `t` (at
+     * least one); returns how many. */
+    Cycle advanceClockWhileBelow(int d, Tick t);
 
     Domain *const *domains_;
     Clock *clocks_;

@@ -276,8 +276,9 @@ Tracer::domainStep(int gd, Tick edge, Tick period)
     if (!detail::t_recording || rt == nullptr)
         return;
     Track &t = rt->tracks[static_cast<size_t>(gd)];
-    // Contiguous (or overlapping, under jitter wobble) steps merge
-    // into one busy span; sleep is the gap between spans.
+    // Contiguous (or overlapping, after a period change shortens the
+    // cycle) steps merge into one busy span; sleep is the gap between
+    // spans.
     if (!t.events.empty()) {
         TraceRecord &last = t.events.back();
         if (last.kind == Ev::DomainRun && edge >= last.ts &&

@@ -11,9 +11,9 @@
  *    over every member the stats structs' forEachField visitors list;
  *  - goldenMachine / goldenWorkload: the pinned golden-row setups;
  *  - randomMachine / randomWorkload: a seeded generator over the
- *    MachineConfig × workload × jitter space, biased toward the hard
- *    cases (phase-adaptive control with aggressive re-lock settings,
- *    jittered MCD grids, zero-warmup windows);
+ *    MachineConfig × workload space, biased toward the hard cases
+ *    (phase-adaptive control with aggressive re-lock settings,
+ *    zero-warmup windows);
  *  - expectKernelsAgree: run both kernels on one case, with optional
  *    per-stage invariant checking, and assert identical RunStats.
  *
@@ -124,8 +124,6 @@ randomMachine(Pcg32 &rng)
         }
         break;
     }
-    if (m.mode == ClockingMode::MCD && rng.chance(0.4))
-        m.jitter_sigma_ps = static_cast<double>(rng.nextRange(1, 25));
     // Back-end shape knobs: the ready-list select engine's hard
     // cases are narrow issue widths (age-ordered width cutoff),
     // scarce FUs (ready ops deferred in place across edges), few
@@ -276,8 +274,7 @@ describe(const MachineConfig &m, const WorkloadParams &wl)
         m.mode == ClockingMode::Synchronous
             ? "sync"
             : m.phase_adaptive ? "phase" : "mcd";
-    return mode + "(" + m.adaptive.str() + ") jitter=" +
-           std::to_string(m.jitter_sigma_ps) + " seed=" +
+    return mode + "(" + m.adaptive.str() + ") seed=" +
            std::to_string(m.seed) + " " + wl.name + " sim=" +
            std::to_string(wl.sim_instrs) + "+" +
            std::to_string(wl.warmup_instrs);

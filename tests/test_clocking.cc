@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the clocking substrate: domain clocks (edges, frequency
- * changes, jitter bounds), the PLL lock model, the Sjogren-Myers
+ * changes, idle-edge skips), the PLL lock model, the Sjogren-Myers
  * synchronizer rule, and the cross-domain FIFO.
  */
 
@@ -11,6 +11,7 @@
 #include "clock/pll.hh"
 #include "clock/sync_fifo.hh"
 #include "clock/synchronizer.hh"
+#include "common/random.hh"
 
 using namespace gals;
 
@@ -50,32 +51,6 @@ TEST(Clock, PeriodChangeAppliesAtScheduledEdge)
     EXPECT_EQ(c.nextEdge(), 650u);
     EXPECT_EQ(c.period(), 250u);
     EXPECT_FALSE(c.changePending());
-}
-
-TEST(Clock, JitterBoundedAndGridStable)
-{
-    Clock jittered(100, 100, 3.0, 5);
-    Clock clean(100, 100, 0.0, 5);
-    for (int i = 0; i < 10'000; ++i) {
-        jittered.advance();
-        clean.advance();
-        // The jittered edge wobbles around the clean grid, bounded by
-        // 10% of the period; the grid itself never drifts.
-        Tick nominal = clean.nextEdge();
-        Tick actual = jittered.nextEdge();
-        Tick diff = actual > nominal ? actual - nominal
-                                     : nominal - actual;
-        EXPECT_LE(diff, 10u);
-    }
-}
-
-TEST(Clock, JitterZeroMatchesNominal)
-{
-    Clock a(137, 137, 0.0, 1);
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_EQ(a.nextEdge(), 137u * (i + 1));
-        a.advance();
-    }
 }
 
 TEST(Pll, LockTimeWithinPaperBounds)
@@ -345,12 +320,11 @@ TEST(Clock, AdvanceWhileBelowMatchesSteppedAdvance)
 
 TEST(Clock, AdvanceWhileBelowStopsAtPendingPeriodChange)
 {
-    // The landing edge of a period change is never skippable: jitter
-    // can deliver it below the skip target even though its nominal
-    // position is past the change-due time, and the scheduler must
-    // consume it with a real step anyway (the epoch bump broadcasts
-    // there). The skip stops just before the landing; delivering it
-    // and resuming matches edge-by-edge execution exactly.
+    // The landing edge of a period change is never skippable: the
+    // scheduler must consume it with a real step (the epoch bump
+    // broadcasts there). The skip stops just before the landing;
+    // delivering it and resuming matches edge-by-edge execution
+    // exactly.
     Clock fast(100, 100);
     Clock stepped(100, 100);
     fast.setPeriod(250, 550);
@@ -368,22 +342,63 @@ TEST(Clock, AdvanceWhileBelowStopsAtPendingPeriodChange)
     EXPECT_EQ(fast.cycle(), stepped.cycle());
 }
 
-TEST(Clock, AdvanceWhileBelowPreservesJitterStream)
+TEST(Clock, AdvanceWhileBelowMatchesSteppedAdvanceUnderPeriodChanges)
 {
-    Clock fast(100, 100, 5.0, 99);
-    Clock stepped(100, 100, 5.0, 99);
-    fast.advanceWhileBelow(2'000);
-    while (stepped.nextEdge() < 2'000)
-        stepped.advance();
-    EXPECT_EQ(fast.nextEdge(), stepped.nextEdge());
-    EXPECT_EQ(fast.cycle(), stepped.cycle());
+    // Seeded random grids, most with a pending period change, skipped
+    // to a target on either side of the change's landing edge (the
+    // first edge at or after its due time). A skip must consume
+    // exactly the edges advance() would, stop short of the landing
+    // edge, and, once a real step delivers that edge, resume to the
+    // same clock state as stepping every edge.
+    Pcg32 rng(2024, 7);
+    auto draw = [&](std::uint32_t lo, std::uint32_t hi) {
+        return Tick{lo + rng.nextBounded(hi - lo + 1)};
+    };
+    int below = 0, above = 0;
+    for (int i = 0; i < 5'000; ++i) {
+        SCOPED_TRACE(i);
+        Tick period = draw(1, 500);
+        Tick first = draw(0, 2'000);
+        Clock fast(period, first);
+        Clock stepped(period, first);
+        Tick when = first + draw(0, 20'000);
+        if (rng.chance(0.8)) {
+            Tick next_period = draw(1, 500);
+            fast.setPeriod(next_period, when);
+            stepped.setPeriod(next_period, when);
+        }
+        bool pending = fast.changePending();
+        Tick target = first + draw(0, 40'000);
+        while (stepped.nextEdge() < target)
+            stepped.advance();
+
+        fast.advanceWhileBelow(target);
+        EXPECT_EQ(fast.periodChanges(), 0u);
+        EXPECT_EQ(fast.changePending(), pending);
+        if (pending && fast.nextEdge() < target) {
+            // Stopped at the landing edge: deliver it, then resume.
+            ++above;
+            EXPECT_GE(fast.nextEdge(), when);
+            EXPECT_LT(fast.nextEdge() - when, period);
+            fast.advance();
+            EXPECT_EQ(fast.periodChanges(), 1u);
+            fast.advanceWhileBelow(target);
+        } else if (pending) {
+            ++below;
+        }
+        EXPECT_EQ(fast.nextEdge(), stepped.nextEdge());
+        EXPECT_EQ(fast.cycle(), stepped.cycle());
+        EXPECT_EQ(fast.periodChanges(), stepped.periodChanges());
+    }
+    EXPECT_GT(below, 500);
+    EXPECT_GT(above, 500);
 }
 
 TEST(Synchronizer, BypassVisibleAtAppliesMargin)
 {
     Clock c(100, 100);
     // Production mid-cycle latches at the next edge, reported a
-    // quarter period early (the anti-wobble margin).
+    // quarter period early (the visibility margin).
     EXPECT_EQ(bypassVisibleAt(95, c), 100u - 25u);
     EXPECT_EQ(bypassVisibleAt(101, c), 200u - 25u);
     // On-edge production is consumable at that edge.

@@ -10,7 +10,7 @@
  *    cores; so a single-core chip with random bank counts, fill
  *    slots, bank occupancy and coherence delay must produce RunStats
  *    bit-identical to simulate() at the default knobs, for any
- *    machine x workload x jitter draw.
+ *    machine x workload draw.
  *  - *Kernel bit-identity at N>=2*: the event kernel must agree with
  *    the step-every-edge reference oracle on multi-core chips too;
  *    this is what makes every cross-core wake provably precise (a

@@ -11,8 +11,8 @@
  *     modeled behavior fails here, even if both kernels agree. All
  *     three paper machine types are pinned across four workloads.
  *  2. Event kernel vs. reference kernel on the same machine
- *     configuration, including jitter and phase-adaptive relocks
- *     (the hard cases for idle-edge skipping). The randomized
+ *     configuration, including phase-adaptive relocks (the hard
+ *     case for idle-edge skipping). The randomized
  *     differential sweep in test_differential.cc extends this layer.
  *  3. Sweeps under GALS_THREADS=1 vs. multi-threaded: host thread
  *     count must never leak into results.
@@ -118,18 +118,6 @@ TEST(Determinism, EventKernelMatchesReferenceKernel)
                 simulate(m, wl, Kernel::Reference));
         }
     }
-}
-
-TEST(Determinism, EventKernelMatchesReferenceWithJitter)
-{
-    // Jitter forces edge-by-edge skipping in advanceWhileBelow; the
-    // RNG draw sequence must survive idle-edge skipping exactly.
-    WorkloadParams wl = goldenWorkload("gzip");
-    MachineConfig m = MachineConfig::mcdProgram({});
-    m.jitter_sigma_ps = 20.0;
-    expectSameStats(
-        simulate(m, wl, Kernel::EventDriven),
-        simulate(m, wl, Kernel::Reference));
 }
 
 TEST(Determinism, RepeatRunsAreIdentical)

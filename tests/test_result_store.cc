@@ -177,23 +177,23 @@ TEST_F(ResultStoreTest, KeyIsStableAndFieldSensitive)
 TEST_F(ResultStoreTest, KeyAndPayloadEncodingsArePinned)
 {
     // Record names and payload digests of the v2 store format. A moved
-    // key orphans every cache record and a moved payload layout
-    // misreads them, so either needs a kResultStoreVersion bump and
-    // new pins. recordPath is a 128-bit FNV-1a, so it digests payloads
+    // key only orphans cache records (their stored key text no longer
+    // matches, so they miss) and needs new key pins; a moved payload
+    // layout misreads them, so it needs a kResultStoreVersion bump. recordPath is a 128-bit FNV-1a, so it digests payloads
     // too; its first half is perfbench's per-leaf digest.
     auto name = [](const std::string &bytes) {
         return fs::path(ResultStore{}.recordPath(bytes)).filename().string();
     };
     EXPECT_EQ(name(resultKey(MachineConfig::mcdProgram({1, 2, 3, 0}),
                              tinyWorkload())),
-              "8145e28d0da50d587a0b40b310e97c3a.grs");
+              "d928c3ccb958ac160407930521e16038.grs");
     ChipConfig cc;
     cc.machine = MachineConfig::mcdPhaseAdaptive();
     cc.cores = 2;
     std::vector<WorkloadParams> mix =
         sharingMix(tinyWorkload(), 2, "migratory");
     EXPECT_EQ(name(resultKey(cc, mix)),
-              "c25de85f03a31b424da0c834b3fcc490.grs");
+              "d756dd107f4ff0aa0216d79d383b6630.grs");
 
     WorkloadParams wl = tinyWorkload();
     wl.sim_instrs = 6'000;
