@@ -1,5 +1,7 @@
 #include "cache/cache_cost.hh"
 
+#include "timing/frequency_model.hh"
+
 namespace gals
 {
 
@@ -10,22 +12,15 @@ accountingCost(const IntervalCounts &counts,
     auto [a_hits, b_positions] =
         AccountingCache::reconstruct(counts, params.a_ways);
 
-    std::uint64_t misses = counts.misses;
-    std::uint64_t b_hits = 0;
-    if (params.b_lat_cycles >= 0)
-        b_hits = b_positions;
-    else
-        misses += b_positions;
-
+    // B positions miss without a B partition. A hits pay A; B hits and
+    // misses the serial probe, and misses the next level on top.
+    std::uint64_t misses =
+        counts.misses + (params.b_lat_cycles < 0 ? b_positions : 0);
     std::uint64_t a_lat = static_cast<std::uint64_t>(params.a_lat_cycles);
-    std::uint64_t b_lat = params.b_lat_cycles >= 0
-        ? static_cast<std::uint64_t>(params.b_lat_cycles) : 0;
-
-    // A hits: latA. B hits: the failed A probe plus the B probe.
-    // Misses: both probes (the lookup establishes the miss) plus the
-    // next-level time.
-    std::uint64_t cycles = a_hits * a_lat + b_hits * (a_lat + b_lat) +
-                           misses * (a_lat + b_lat);
+    std::uint64_t probe = static_cast<std::uint64_t>(serialProbeCycles(
+        params.a_lat_cycles, params.b_lat_cycles, true));
+    std::uint64_t cycles =
+        a_hits * a_lat + (counts.misses + b_positions) * probe;
     return cycles * params.period_ps + misses * params.miss_extra_ps;
 }
 

@@ -13,13 +13,13 @@ SharedL2::SharedL2(const Params &p)
       memory_(kMemFirstChunkNs, kMemNextChunkNs, 64, 8),
       banks_(static_cast<size_t>(p.banks)),
       bank_mask_(static_cast<Addr>(p.banks - 1)),
-      per_core_(static_cast<size_t>(p.cores)), row_(p.row)
+      per_core_(static_cast<size_t>(p.cores))
 {
     GALS_ASSERT(p.cores >= 1, "SharedL2 needs at least one core");
     GALS_ASSERT(p.banks >= 1 && (p.banks & (p.banks - 1)) == 0,
                 "SharedL2 bank count %d is not a power of two", p.banks);
     GALS_ASSERT(p.bank_mshrs >= 0, "negative bank MSHR count");
-    cache_.setPartition(p.a_ways, p.phase_adaptive);
+    setRow(p.row, p.a_ways);
     for (PerCore &pc : per_core_) {
         pc.interval.mru_hits.assign(static_cast<size_t>(p.ways), 0);
     }

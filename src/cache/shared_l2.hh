@@ -52,8 +52,8 @@ class SharedL2
   public:
     struct Params
     {
-        /** Cache geometry (the machine mode's L2; see
-         * cmp/chip.cc sharedL2Params). */
+        /** Cache geometry: a chip builds l2Array() with A = the
+         * row's associativity (cmp/chip.cc sharedL2Params). */
         std::uint64_t size_bytes = 2048 * 1024;
         int ways = 8;
         int a_ways = 8;
@@ -230,6 +230,14 @@ class SharedL2
         std::vector<CohMsg> msgs;
         size_t head = 0;
     };
+
+    /** The constructor's first row and every re-lock land here. */
+    void
+    setRow(int row, int a_ways)
+    {
+        row_ = row;
+        cache_.setPartition(a_ways, p_.phase_adaptive);
+    }
 
     /** Shared tag/MRU access plus the per-core mirrors (called only
      * by the port, which owns the surrounding arbitration). */

@@ -16,8 +16,6 @@ namespace gals
 namespace
 {
 
-constexpr std::uint64_t KB = 1024;
-
 /** All cores' clocks, flat in global domain index order. */
 std::vector<Clock>
 buildClocks(const ChipConfig &cfg)
@@ -30,27 +28,18 @@ buildClocks(const ChipConfig &cfg)
     return clocks;
 }
 
-/** The L2 of the machine mode: the 2MB adaptive A/B pair under MCD,
- * the frequency-optimal fixed geometry of the configured row under
- * synchronous clocking. */
+/** The chip's L2: l2Array() with A = the configured row's
+ * associativity, B retained only on phase-adaptive machines. */
 SharedL2::Params
 sharedL2Params(const ChipConfig &cfg,
                const std::vector<WorkloadParams> &workloads)
 {
     const MachineConfig &m = cfg.machine;
-    const DCachePairConfig &dc = dcachePairConfig(m.adaptive.dcache);
     SharedL2::Params p;
-    if (m.mode == ClockingMode::MCD) {
-        p.size_bytes = 2048 * KB;
-        p.ways = 8;
-        p.a_ways = dc.l2_adapt.assoc;
-        p.phase_adaptive = m.phase_adaptive;
-    } else {
-        p.size_bytes = dc.l2_opt.size_bytes;
-        p.ways = dc.l2_opt.assoc;
-        p.a_ways = dc.l2_opt.assoc;
-        p.phase_adaptive = false;
-    }
+    p.size_bytes = l2Array().size_bytes;
+    p.ways = l2Array().assoc;
+    p.a_ways = dcachePairConfig(m.adaptive.dcache).l2_adapt.assoc;
+    p.phase_adaptive = m.phase_adaptive;
     p.row = m.adaptive.dcache;
     p.cores = cfg.cores;
     p.banks = cfg.l2_banks;
@@ -77,6 +66,8 @@ buildCores(const ChipConfig &cfg,
 {
     GALS_ASSERT(cfg.cores >= 1 && cfg.cores <= kMaxCores,
                 "chip core count out of range");
+    GALS_ASSERT(!cfg.machine.phase_adaptive || cfg.machine.isMcd(),
+                "a phase-adaptive machine needs MCD clocking");
     GALS_ASSERT(workloads.size() == static_cast<size_t>(cfg.cores),
                 "chip needs exactly one workload per core");
     std::vector<std::unique_ptr<Core>> cores;

@@ -10,13 +10,6 @@
 namespace gals
 {
 
-namespace
-{
-
-constexpr std::uint64_t KB = 1024;
-
-} // namespace
-
 FrontEnd::FrontEnd(const MachineConfig &cfg,
                    const AdaptiveConfig &cur_cfg, CoreTiming &timing,
                    const WorkloadParams &wl)
@@ -28,20 +21,23 @@ FrontEnd::FrontEnd(const MachineConfig &cfg,
           cfg.fetch_queue_entries +
           cfg.decode_width * cfg.feDepth()))
 {
-    if (cfg_.mode == ClockingMode::MCD) {
-        const ICacheConfig &ic = icacheConfig(cur_cfg_.icache);
-        l1i_ = std::make_unique<AccountingCache>("l1i", 64 * KB, 4);
-        l1i_->setPartition(ic.org.assoc, cfg_.phase_adaptive);
-        predictor_ = std::make_unique<HybridPredictor>(ic.predictor);
-        fetch_a_lat_ = ic.a_lat;
-        fetch_b_lat_ = ic.b_lat;
-    } else {
+    if (cfg_.mode == ClockingMode::Synchronous) {
+        // Table 3's 64 to 1024 sets cannot partition the 16 KB-way
+        // MCD array: the one cache with an organization of its own.
         const OptICacheConfig &ic =
             optICacheConfig(cfg_.sync_icache_opt);
         l1i_ = std::make_unique<AccountingCache>(
             "l1i", ic.org.size_bytes, ic.org.assoc);
         l1i_->setPartition(ic.org.assoc, false);
         predictor_ = std::make_unique<HybridPredictor>(ic.predictor);
+        fetch_a_lat_ = 2; // Table 5's A latency; no B partition.
+        fetch_b_lat_ = -1;
+    } else {
+        l1i_ = std::make_unique<AccountingCache>(
+            "l1i", l1iArray().size_bytes, l1iArray().assoc);
+        predictor_ = std::make_unique<HybridPredictor>(
+            icacheConfig(cur_cfg_.icache).predictor);
+        resizeStructure(cur_cfg_.icache);
     }
 }
 

@@ -153,8 +153,8 @@ class FrontEnd final : public Domain
 
     // Fetch state.
     /** L1I A/B latencies of the live config (hoisted off doFetch). */
-    int fetch_a_lat_ = 2;
-    int fetch_b_lat_ = -1;
+    int fetch_a_lat_;
+    int fetch_b_lat_;
     /**
      * Pre-generated op batch: fetch refills it with one tight
      * nextBatch() call instead of generating one op per fetch slot,

@@ -10,31 +10,18 @@
 namespace gals
 {
 
-namespace
-{
-
-constexpr std::uint64_t KB = 1024;
-
-} // namespace
-
 LoadStoreUnit::LoadStoreUnit(const MachineConfig &cfg,
                              const AdaptiveConfig &cur_cfg,
                              CoreTiming &timing, Rob &rob,
                              InterconnectPort &icp, int core_index)
     : Domain(DomainId::LoadStore, timing), cfg_(cfg),
       cur_cfg_(cur_cfg), rob_(rob), lsq_(cfg.lsq_entries),
+      l1d_("l1d", l1dArray().size_bytes, l1dArray().assoc),
       mshr_busy_(static_cast<size_t>(cfg.mshrs), 0), icp_(icp),
       core_index_(core_index)
 {
-    const DCachePairConfig &dc = dcachePairConfig(cur_cfg_.dcache);
-    if (cfg_.mode == ClockingMode::MCD) {
-        l1d_ = std::make_unique<AccountingCache>("l1d", 256 * KB, 8);
-        l1d_->setPartition(dc.l1_adapt.assoc, cfg_.phase_adaptive);
-    } else {
-        l1d_ = std::make_unique<AccountingCache>(
-            "l1d", dc.l1_opt.size_bytes, dc.l1_opt.assoc);
-        l1d_->setPartition(dc.l1_opt.assoc, false);
-    }
+    // The shared L2 took its first row at its own construction.
+    setL1Row(cur_cfg_.dcache);
 }
 
 void
@@ -72,8 +59,7 @@ LoadStoreUnit::l2TotalBHits() const
 void
 LoadStoreUnit::resizeStructure(int index)
 {
-    const DCachePairConfig &dc = dcachePairConfig(index);
-    l1d_->setPartition(dc.l1_adapt.assoc, cfg_.phase_adaptive);
+    setL1Row(index);
     icp_.reconfigure(core_index_, index);
 }
 
@@ -94,18 +80,14 @@ LoadStoreUnit::dataHierarchyTime(Addr addr, Tick now)
 {
     const DCachePairConfig &dc = dcachePairConfig(cur_cfg_.dcache);
     Tick period = timing_.clock(DomainId::LoadStore).period();
-    bool b_on = l1d_->bEnabled();
 
-    AccessOutcome l1 = l1d_->access(addr);
+    AccessOutcome l1 = l1d_.access(addr);
     if (l1.where == HitWhere::APartition)
         return now + static_cast<Tick>(dc.l1_a_lat) * period;
-    if (l1.where == HitWhere::BPartition) {
-        return now +
-               static_cast<Tick>(dc.l1_a_lat + dc.l1_b_lat) * period;
-    }
-
     Tick probe = static_cast<Tick>(
-        dc.l1_a_lat + (b_on && dc.l1_b_lat > 0 ? dc.l1_b_lat : 0));
+        serialProbeCycles(dc.l1_a_lat, dc.l1_b_lat, l1d_.bEnabled()));
+    if (l1.where == HitWhere::BPartition)
+        return now + probe * period;
 
     // The interconnect port arbitrates the banked L2 and the shared
     // memory channel; an L2 miss also holds one of this core's MSHRs
@@ -182,7 +164,7 @@ LoadStoreUnit::drainStoreBuffer(Tick now, int &ports_used,
         // Retirement blocks only on a *full* store buffer, so only
         // the pop that frees the first slot needs to wake the front
         // end — the port handles that transition.
-        Addr addr = sb_->front() << l1d_->lineShift();
+        Addr addr = sb_->front() << l1d_.lineShift();
         dataHierarchyTime(addr, now);
         // A drained store to the coherent shared region publishes
         // invalidations to remote sharers through the interconnect
@@ -203,7 +185,7 @@ LoadStoreUnit::step(Tick now)
     // latency has elapsed drop their lines from the L1D and charge
     // one mem port each — the timing visibility that makes the
     // publisher's remote wake load-bearing.
-    int coh_ports = icp_.consumeInvalidations(core_index_, now, *l1d_);
+    int coh_ports = icp_.consumeInvalidations(core_index_, now, l1d_);
 
     disp_->consume(now, [&](size_t) {
         lsq_.markArrived(now);

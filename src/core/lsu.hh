@@ -18,8 +18,6 @@
 #ifndef GALS_CORE_LSU_HH
 #define GALS_CORE_LSU_HH
 
-#include <memory>
-
 #include "cache/accounting_cache.hh"
 #include "core/domain.hh"
 #include "core/machine_config.hh"
@@ -67,7 +65,7 @@ class LoadStoreUnit final : public Domain
     Tick serveIcacheFill(Addr pc, Tick t_req, Tick now);
 
     /** L1D line shift (rename derives LSQ line addresses with it). */
-    int dcacheLineShift() const { return l1d_->lineShift(); }
+    int dcacheLineShift() const { return l1d_.lineShift(); }
 
     /** Re-partition the D-cache pair to Table 1 row `index`. */
     void resizeStructure(int index) override;
@@ -77,8 +75,8 @@ class LoadStoreUnit final : public Domain
     // ------------------------------------------------------------------
     Lsq &lsq() { return lsq_; }
     const Lsq &lsq() const { return lsq_; }
-    AccountingCache &l1d() { return *l1d_; }
-    const AccountingCache &l1d() const { return *l1d_; }
+    AccountingCache &l1d() { return l1d_; }
+    const AccountingCache &l1d() const { return l1d_; }
 
     /** L2 lifetime totals of *this core's* slice of the shared L2. */
     std::uint64_t l2TotalAccesses() const;
@@ -112,13 +110,20 @@ class LoadStoreUnit final : public Domain
     Tick dataHierarchyTime(Addr addr, Tick now);
     /** Occupy the free MSHR the caller verified exists until `done`. */
     void claimMshr(Tick now, Tick done);
+    /** resizeStructure's L1 half; the constructor's first row too. */
+    void
+    setL1Row(int index)
+    {
+        l1d_.setPartition(dcachePairConfig(index).l1_adapt.assoc,
+                          cfg_.phase_adaptive);
+    }
 
     const MachineConfig &cfg_;
     const AdaptiveConfig &cur_cfg_;
     Rob &rob_;
 
     Lsq lsq_;
-    std::unique_ptr<AccountingCache> l1d_;
+    AccountingCache l1d_;
     std::vector<Tick> mshr_busy_;
     /** min(mshr_busy_): one compare decides "any MSHR free". */
     Tick mshr_min_free_ = 0;

@@ -54,7 +54,6 @@ MachineConfig::synchronous(int opt_icache, int dcache, int iq_int,
 {
     MachineConfig c;
     c.mode = ClockingMode::Synchronous;
-    c.phase_adaptive = false;
     c.sync_icache_opt = opt_icache;
     c.adaptive.icache = 0; // unused in synchronous mode.
     c.adaptive.dcache = dcache;
@@ -68,7 +67,6 @@ MachineConfig::mcdProgram(const AdaptiveConfig &cfg)
 {
     MachineConfig c;
     c.mode = ClockingMode::MCD;
-    c.phase_adaptive = false;
     c.adaptive = cfg;
     return c;
 }

@@ -3,13 +3,14 @@
  * Machine configuration: Table 5 parameters, clocking mode, structure
  * configuration, and the derived per-domain frequencies.
  *
- * Three kinds of machine are built from this one description:
+ * Three kinds of machine are built from this one description, all
+ * on the same L1D/L2 arrays with B on only when phase-adaptive (l1dArray):
  *  - Synchronous: one global clock at the minimum of the four
  *    structure frequencies (optimal timing tables), 9+7 mispredict
- *    penalty, no synchronizer costs, no B partitions;
+ *    penalty, no synchronizer costs, Table 3's own L1I;
  *  - MCD whole-program: four domain clocks from the adaptive timing
- *    tables, a fixed adaptive configuration, B partitions unused,
- *    10+9 mispredict penalty, synchronizers on every crossing;
+ *    tables, a fixed configuration, 10+9 mispredict penalty,
+ *    synchronizers on every crossing;
  *  - MCD phase-adaptive: as above plus B partitions and the on-line
  *    controllers (accounting caches, ILP tracker) driving PLL-timed
  *    reconfigurations.
@@ -155,6 +156,8 @@ struct MachineConfig
     int mshrs = 8;
     int dispatch_fifo_entries = 16;
 
+    /** Per-domain clocks; Chip requires it of phase-adaptive ones. */
+    bool isMcd() const { return mode == ClockingMode::MCD; }
     /** Front-end pipe depth: 9 sync, 10 adaptive MCD (Table 5). */
     int feDepth() const { return mode == ClockingMode::MCD ? 10 : 9; }
     /** Dispatch-to-issue depth: 7 sync, 9 adaptive MCD. */

@@ -111,14 +111,14 @@ InterconnectPort::request(int core, DomainId consumer_local, Addr addr,
     }
 
     const DCachePairConfig &dc = dcachePairConfig(l2_.row_);
+    const int probe = serialProbeCycles(dc.l2_a_lat, dc.l2_b_lat,
+                                        l2_.cache_.bEnabled());
     AccessOutcome out = l2_.access(core, addr);
     const Addr line = addr >> l2_.cache_.lineShift();
 
     L2Reply r;
     if (out.where != HitWhere::Miss) {
-        int lat = out.where == HitWhere::APartition
-                      ? dc.l2_a_lat
-                      : dc.l2_a_lat + dc.l2_b_lat;
+        int lat = out.where == HitWhere::APartition ? dc.l2_a_lat : probe;
         r.hit = true;
         r.done = start + static_cast<Tick>(lat) * period;
         // Secondary access to another core's in-flight line: the tag
@@ -144,11 +144,7 @@ InterconnectPort::request(int core, DomainId consumer_local, Addr addr,
         // through one of this bank's fill slots, arbitrated across
         // cores — the miss waits while `bank_mshrs` fills from other
         // cores are still in flight.
-        Tick probe = static_cast<Tick>(
-            dc.l2_a_lat +
-            (l2_.cache_.bEnabled() && dc.l2_b_lat > 0 ? dc.l2_b_lat
-                                                      : 0));
-        Tick issue_at = start + probe * period;
+        Tick issue_at = start + static_cast<Tick>(probe) * period;
         if (l2_.p_.bank_mshrs > 0) {
             Tick other_done[kMaxCores * kMaxCoreMshrs];
             int k = 0;
@@ -353,9 +349,7 @@ InterconnectPort::reconfigure(int core, int target)
     // controller only; other cores' votes reconfigure their L1.
     if (core != 0)
         return;
-    l2_.row_ = target;
-    const DCachePairConfig &dc = dcachePairConfig(target);
-    l2_.cache_.setPartition(dc.l2_adapt.assoc, l2_.p_.phase_adaptive);
+    l2_.setRow(target, dcachePairConfig(target).l2_adapt.assoc);
 }
 
 } // namespace gals

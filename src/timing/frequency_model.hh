@@ -103,6 +103,33 @@ const ICacheConfig &icacheConfig(int index);
 /** Table 3 row for option index 0..15. */
 const OptICacheConfig &optICacheConfig(int index);
 
+/** The L1D, L2 and MCD L1I arrays: the largest rows of Tables 1 and 2.
+ * Rows share their way size, so with B off a k-way row is exactly the
+ * A partition of k ways (docs/kernel.md, "One cache organization"). */
+inline const SramOrg &
+l1dArray()
+{
+    return dcachePairConfig(kNumAdaptiveConfigs - 1).l1_adapt;
+}
+inline const SramOrg &
+l2Array()
+{
+    return dcachePairConfig(kNumAdaptiveConfigs - 1).l2_adapt;
+}
+inline const SramOrg &
+l1iArray()
+{
+    return icacheConfig(kNumAdaptiveConfigs - 1).org;
+}
+
+/** Cycles to a B hit or a known miss, charged by the L1D, the L2 and
+ * accountingCost: A, then B while live (`b_lat` < 0: there is none). */
+constexpr int
+serialProbeCycles(int a_lat, int b_lat, bool b_on)
+{
+    return a_lat + (b_on && b_lat > 0 ? b_lat : 0);
+}
+
 /**
  * Upper bound on any domain clock imposed by non-resizable core logic
  * (rename, bypass, register files). None of the structure frequencies

@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/accounting_cache.hh"
 #include "common/random.hh"
+#include "timing/frequency_model.hh"
 
 using namespace gals;
 
@@ -135,6 +138,65 @@ TEST(AccountingCache, ReconstructSplitsByPosition)
     auto [a4, b4] = AccountingCache::reconstruct(counts, 4);
     EXPECT_EQ(a4, 100u);
     EXPECT_EQ(b4, 0u);
+}
+
+/**
+ * Every machine builds the largest Table 1 row's arrays and sets A to
+ * its row's associativity. With B off, that partition must be the
+ * row's own k-way cache on every access: the same outcomes and the
+ * same totals, coherence invalidations included. The equivalence
+ * needs every row to keep the arrays' way size (so the set count),
+ * which is pinned too.
+ */
+TEST(AccountingCache, BOffPartitionOfTheArrayIsTheRowsKWayCache)
+{
+    const SramOrg &l1 = l1dArray();
+    const SramOrg &l2 = l2Array();
+    EXPECT_EQ(l1.size_bytes / static_cast<unsigned>(l1.assoc), 32 * KB);
+    EXPECT_EQ(l2.size_bytes / static_cast<unsigned>(l2.assoc), 256 * KB);
+    for (int row = 0; row < kNumAdaptiveConfigs; ++row) {
+        const DCachePairConfig &dc = dcachePairConfig(row);
+        // Machines partition by the adaptive column's associativity.
+        EXPECT_EQ(dc.l1_adapt.assoc, dc.l1_opt.assoc);
+        EXPECT_EQ(dc.l2_adapt.assoc, dc.l2_opt.assoc);
+        for (const auto &[opt, array] :
+             {std::pair{dc.l1_opt, l1}, std::pair{dc.l2_opt, l2}}) {
+            SCOPED_TRACE(dc.name + " " + std::to_string(opt.size_bytes));
+            EXPECT_EQ(opt.size_bytes / static_cast<unsigned>(opt.assoc),
+                      array.size_bytes /
+                          static_cast<unsigned>(array.assoc));
+            AccountingCache kway("kway", opt.size_bytes, opt.assoc);
+            kway.setPartition(opt.assoc, false);
+            AccountingCache part("part", array.size_bytes, array.assoc);
+            part.setPartition(opt.assoc, false);
+            ASSERT_EQ(kway.numSets(), part.numSets());
+
+            // Pool 1.5x the row's capacity: hits, conflict misses and
+            // capacity misses all occur.
+            std::uint64_t pool = opt.size_bytes * 3 / 2;
+            auto stream = mixedStream(
+                static_cast<std::uint64_t>(row) * 7 + opt.size_bytes,
+                4 * pool / 64, pool, 0.5);
+            Pcg32 inv(static_cast<std::uint64_t>(row) + 99);
+            for (size_t i = 0; i < stream.size(); ++i) {
+                ASSERT_EQ(kway.access(stream[i]).where,
+                          part.access(stream[i]).where)
+                    << "access " << i;
+                if (inv.chance(0.05)) {
+                    Addr victim = stream[inv.nextBounded(
+                        static_cast<std::uint32_t>(i + 1))];
+                    ASSERT_EQ(kway.invalidate(victim),
+                              part.invalidate(victim))
+                        << "invalidation after access " << i;
+                }
+            }
+            EXPECT_EQ(kway.totalAHits(), part.totalAHits());
+            EXPECT_EQ(kway.totalMisses(), part.totalMisses());
+            EXPECT_EQ(part.totalBHits(), 0u);
+            EXPECT_GT(part.totalAHits(), 0u);
+            EXPECT_GT(part.totalMisses(), 0u);
+        }
+    }
 }
 
 /**

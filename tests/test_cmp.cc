@@ -226,6 +226,21 @@ TEST(CmpPortsDeathTest, MisorderedCrossCorePublicationAsserts)
                  "publication order");
 }
 
+TEST(CmpBoundaryDeathTest, SynchronousPhaseAdaptiveMachineIsRejected)
+{
+    // Every machine builds the same cache arrays and turns B on
+    // exactly when it is phase-adaptive; a synchronous machine has no
+    // per-domain clock to re-lock, so the combination is refused at
+    // construction instead of running with B partitions.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    ChipConfig cc;
+    cc.machine = MachineConfig::bestSynchronous();
+    cc.machine.phase_adaptive = true;
+    std::vector<WorkloadParams> mix{goldenWorkload("gzip")};
+    EXPECT_DEATH(Chip(cc, mix, Kernel::EventDriven),
+                 "phase-adaptive machine needs MCD clocking");
+}
+
 // ---------------------------------------------------------------------
 // N=1: the shared-L2 knobs must be inert on a single-core chip.
 // ---------------------------------------------------------------------
