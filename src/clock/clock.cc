@@ -8,9 +8,10 @@ namespace gals
 {
 
 Clock::Clock(Tick period_ps, Tick first_edge)
-    : period_ps_(period_ps), next_edge_(first_edge)
+    : next_edge_(first_edge)
 {
     GALS_ASSERT(period_ps > 0, "clock period must be positive");
+    setConstants(period_ps);
 }
 
 void

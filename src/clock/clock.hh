@@ -18,6 +18,12 @@
 namespace gals
 {
 
+/**
+ * Fraction of the faster period within which a synchronizer crossing
+ * pays an extra consumer cycle (clock/synchronizer.hh).
+ */
+constexpr double kSyncGuardFraction = 0.30;
+
 /** One domain clock: period, edge position, cycle count. */
 class Clock
 {
@@ -33,6 +39,17 @@ class Clock
 
     /** Current period in ps. */
     Tick period() const { return period_ps_; }
+
+    /**
+     * Synchronizer guard band of this clock's period:
+     * floor(kSyncGuardFraction x period). The truncated product is
+     * monotone in the period, so the guard of the faster of two
+     * clocks is the smaller of their guards.
+     */
+    Tick guard() const { return guard_; }
+
+    /** Visibility margin: a quarter period (clock/synchronizer.hh). */
+    Tick margin() const { return margin_; }
 
     /** Current frequency in GHz. */
     double freqGHz() const { return ghzFromPeriodPs(period_ps_); }
@@ -50,7 +67,7 @@ class Clock
         ++cycle_;
 
         if (pending_period_ != 0 && next_edge_ >= pending_when_) {
-            period_ps_ = pending_period_;
+            setConstants(pending_period_);
             pending_period_ = 0;
             ++period_changes_;
         }
@@ -110,7 +127,20 @@ class Clock
     std::uint64_t periodChanges() const { return period_changes_; }
 
   private:
-    Tick period_ps_;
+    /** Install `period` with the constants derived from it (the only
+     * place the period changes). */
+    void
+    setConstants(Tick period)
+    {
+        period_ps_ = period;
+        guard_ = static_cast<Tick>(kSyncGuardFraction *
+                                   static_cast<double>(period));
+        margin_ = period / 4;
+    }
+
+    Tick period_ps_ = 0;
+    Tick guard_ = 0;
+    Tick margin_ = 0;
     Tick next_edge_;
     Cycle cycle_ = 0;
 

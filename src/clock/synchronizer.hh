@@ -19,8 +19,15 @@
 namespace gals
 {
 
-/** Fraction of the faster period within which an extra cycle is paid. */
-constexpr double kSyncGuardFraction = 0.30;
+/**
+ * Guard band of a crossing: kSyncGuardFraction of the faster period,
+ * truncated (each clock caches its own; see Clock::guard).
+ */
+inline Tick
+syncGuard(const Clock &producer, const Clock &consumer)
+{
+    return std::min(producer.guard(), consumer.guard());
+}
 
 /**
  * Earliest consumer-domain edge at which data produced at
@@ -38,14 +45,11 @@ syncVisibleAt(Tick produced_at, const Clock &producer,
               const Clock &consumer, bool same_domain)
 {
     Tick edge = consumer.nextEdgeAfter(produced_at);
-    Tick margin = consumer.period() / 4;
+    Tick margin = consumer.margin();
     if (same_domain)
         return edge - std::min(margin, edge);
 
-    Tick faster = std::min(producer.period(), consumer.period());
-    Tick guard = static_cast<Tick>(kSyncGuardFraction *
-                                   static_cast<double>(faster));
-    if (edge - produced_at < guard)
+    if (edge - produced_at < syncGuard(producer, consumer))
         edge += consumer.period();
     // Report visibility a quarter period before the edge. The margin
     // is the model's visibility convention, not a timing uncertainty
@@ -70,7 +74,7 @@ bypassVisibleAt(Tick produced, const Clock &consumer)
     if (produced == 0)
         return 0;
     Tick edge = consumer.nextEdgeAfter(produced - 1);
-    Tick margin = consumer.period() / 4;
+    Tick margin = consumer.margin();
     // Clamp the rewind at the previous edge: an edge earlier than one
     // period has no predecessor, so it gets no margin at all instead
     // of collapsing to tick 0.

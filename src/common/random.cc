@@ -36,6 +36,26 @@ Pcg32::nextRange(int lo, int hi)
     return lo + static_cast<int>(nextBounded(span));
 }
 
+std::uint64_t
+Pcg32::rollThreshold(double p)
+{
+    if (!(p > 0.0))
+        return 0;
+    if (p >= 1.0)
+        return kRollAlways;
+    return static_cast<std::uint64_t>(std::ceil(p * 4294967296.0));
+}
+
+std::uint64_t
+Pcg32::chanceThreshold(double p)
+{
+    if (p <= 0.0)
+        return kChanceNever;
+    if (p >= 1.0)
+        return kChanceAlways;
+    return rollThreshold(p);
+}
+
 double
 Pcg32::nextGaussian(double mean, double sigma)
 {

@@ -27,6 +27,9 @@ class Pcg32
     explicit Pcg32(std::uint64_t seed = 0x853c49e6748fea9bULL,
                    std::uint64_t stream = 0xda3e39cb94b95bdbULL);
 
+    /** Same state and stream: the two produce the same draws. */
+    bool operator==(const Pcg32 &) const = default;
+
     /** @return the next raw 32-bit draw. */
     std::uint32_t
     next()
@@ -60,12 +63,43 @@ class Pcg32
     }
 
     /**
+     * Threshold form of a uniform roll: `nextDouble() < p` holds
+     * exactly when `next() < rollThreshold(p)`. Both u x 2^-32 and
+     * p x 2^32 are exact in a double, so u x 2^-32 < p iff the
+     * integer u < ceil(p x 2^32), clamped to [0, 2^32] (0 for NaN,
+     * which compares false).
+     */
+    static std::uint64_t rollThreshold(double p);
+
+    /**
+     * Threshold form of chance(p), for chanceAt: rollThreshold(p),
+     * or a sentinel above 2^32 where chance() takes no draw (p <= 0
+     * answers false, p >= 1 true). NaN keeps chance()'s draw that
+     * answers false: threshold 0.
+     */
+    static std::uint64_t chanceThreshold(double p);
+
+    /** chance(p) for `threshold == chanceThreshold(p)`: the same
+     * answer and the same draws, without floating point. */
+    bool
+    chanceAt(std::uint64_t threshold)
+    {
+        if (threshold > kRollAlways)
+            return threshold == kChanceAlways;
+        return next() < threshold;
+    }
+
+    /**
      * A normal draw via Box-Muller (no cached spare: deterministic
      * stream position regardless of call interleaving).
      */
     double nextGaussian(double mean, double sigma);
 
   private:
+    static constexpr std::uint64_t kRollAlways = 1ULL << 32;
+    static constexpr std::uint64_t kChanceNever = kRollAlways + 1;
+    static constexpr std::uint64_t kChanceAlways = kRollAlways + 2;
+
     std::uint64_t state_;
     std::uint64_t inc_;
 };

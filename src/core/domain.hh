@@ -68,13 +68,22 @@ class CoreTiming
         return clocks_[static_cast<size_t>(d)];
     }
 
+    /** True when values cross from `prod` to `cons` without a
+     * synchronizer (one clock: fully synchronous mode or one
+     * domain). */
+    bool
+    sharesClock(DomainId prod, DomainId cons) const
+    {
+        return same_domain_ || prod == cons;
+    }
+
     /** When a value produced in `prod` is usable in `cons`. */
     Tick
     visibleAt(Tick produced, DomainId prod, DomainId cons) const
     {
         if (produced == 0)
             return 0;
-        if (same_domain_ || prod == cons) {
+        if (sharesClock(prod, cons)) {
             // Bypass within one clock: usable at the first edge at or
             // after production (with the same visibility margin the
             // synchronizer applies; see clock/synchronizer.hh).
@@ -168,6 +177,30 @@ class Domain
     }
 
   protected:
+    /**
+     * `timing_.visibleAt(t, prod, id_) <= now` in closed form, for a
+     * read at this domain's own edge `now` (its clock's nextEdge()):
+     * only the domain's step may ask, which is why this is not a
+     * CoreTiming query. With the clock on `now`, a value whose
+     * latching edge is `now` is visible, and one latched at any later
+     * edge is visible no earlier than three quarters of a period
+     * after `now`. A bypassed value latches at `now` once produced
+     * (t <= now); a synchronized one once produced before `now` by
+     * at least the guard band. Callers that need the exact tick (a
+     * wake, a timer) call visibleAt on the not-yet-visible branch.
+     */
+    bool
+    visibleOnEdge(Tick t, DomainId prod, Tick now) const
+    {
+        if (t == 0)
+            return true;
+        if (timing_.sharesClock(prod, id_))
+            return t <= now;
+        return t < now &&
+               now - t >= syncGuard(timing_.clock(prod),
+                                    timing_.clock(id_));
+    }
+
     const DomainId id_;
     CoreTiming &timing_;
     const PendingApply *pending_ = nullptr;

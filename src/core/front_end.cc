@@ -434,10 +434,10 @@ FrontEnd::doRetire(Tick now)
             } else {
                 if (!op.completed())
                     break; // completion port wakes the front end.
-                Tick vis = timing_.visibleAt(
-                    op.complete_at, op.domain, DomainId::FrontEnd);
-                if (vis > now) {
-                    feNote(vis); // exact visibility gate.
+                if (!visibleOnEdge(op.complete_at, op.domain, now)) {
+                    // Exact visibility gate.
+                    feNote(timing_.visibleAt(op.complete_at, op.domain,
+                                             id_));
                     break;
                 }
                 if (op.is_mem)

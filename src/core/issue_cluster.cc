@@ -102,9 +102,10 @@ IssueCluster::step(Tick now)
             }
             if (pending_src)
                 return IssueQueue::CandAction::Drop;
-            slot.ready_at = slotReadyAt(slot, regs_, timing_, dom);
-            if (slot.ready_at > now) {
-                iq_.pushTimed(id); // exact future ready time.
+            if (!slotReadyOnEdge(slot, now)) {
+                // Exact future ready time.
+                slot.ready_at = slotReadyAt(slot, regs_, timing_, dom);
+                iq_.pushTimed(id);
                 return IssueQueue::CandAction::Drop;
             }
         }
@@ -140,6 +141,21 @@ IssueCluster::step(Tick now)
         return IssueQueue::CandAction::Drop;
     });
     return wakeBound();
+}
+
+bool
+IssueCluster::slotReadyOnEdge(const IqSlot &s, Tick now) const
+{
+    if (s.issue_eligible > now)
+        return false;
+    for (PhysRef ref : {s.psrc1, s.psrc2}) {
+        if (ref.index < 0)
+            continue;
+        const PhysRegState &r = regs_.state(ref);
+        if (!visibleOnEdge(r.ready_at, r.producer, now))
+            return false;
+    }
+    return true;
 }
 
 Tick

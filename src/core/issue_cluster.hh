@@ -61,6 +61,10 @@ class IssueCluster final : public Domain
     /** The bound step() returns (Domain::step). */
     Tick wakeBound() const;
 
+    /** `slotReadyAt(s, ...) <= now` at this cluster's own edge,
+     * through visibleOnEdge (no grid extrapolation). */
+    bool slotReadyOnEdge(const IqSlot &s, Tick now) const;
+
     const MachineConfig &cfg_;
     Rob &rob_;
     RegisterFiles &regs_;

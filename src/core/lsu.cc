@@ -211,10 +211,8 @@ LoadStoreUnit::step(Tick now)
             LsqEntry &e = lsq_.byId(id);
             InFlightOp &op = rob_[e.rob_idx];
             if (e.arrived_at <= now) {
-                Tick vis = timing_.visibleAt(
-                    op.agen_done, DomainId::Integer,
-                    DomainId::LoadStore);
-                if (vis <= now) {
+                if (visibleOnEdge(op.agen_done, DomainId::Integer,
+                                  now)) {
                     op.store_ready = true;
                     op.complete_at = now;
                     e.data_ready = true; // leaves the pending walk.
@@ -230,7 +228,10 @@ LoadStoreUnit::step(Tick now)
                 }
                 // Waiting on a known agen-visibility time (an
                 // unarrived entry is woken by its dispatch arrival).
-                min_time = std::min(min_time, vis);
+                min_time = std::min(
+                    min_time,
+                    timing_.visibleAt(op.agen_done, DomainId::Integer,
+                                      id_));
             }
             pending[keep++] = id;
         }
@@ -267,10 +268,11 @@ LoadStoreUnit::step(Tick now)
                 continue;
             }
             InFlightOp &op = rob_[e.rob_idx];
-            Tick vis = timing_.visibleAt(op.agen_done, DomainId::Integer,
-                                         DomainId::LoadStore);
-            if (vis > now) {
-                min_time = std::min(min_time, vis);
+            if (!visibleOnEdge(op.agen_done, DomainId::Integer, now)) {
+                min_time = std::min(
+                    min_time,
+                    timing_.visibleAt(op.agen_done, DomainId::Integer,
+                                      id_));
                 loads[keep++] = id; // pure time wait.
                 continue;
             }

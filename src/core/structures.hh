@@ -195,9 +195,11 @@ struct IqSlot
     SeqNum seq = 0;
     Tick issue_eligible = 0;
     /**
-     * Exact earliest issue tick; valid once needs_eval is false.
-     * A grid extrapolation, so it is invalidated wholesale on epoch
-     * bumps (IssueQueue::invalidateTimes).
+     * Exact earliest issue tick; valid while the slot is timed (the
+     * timer ring is its only reader; a slot found ready at its
+     * select-walk edge never computes it). A grid extrapolation, so
+     * it is invalidated wholesale on epoch bumps
+     * (IssueQueue::invalidateTimes).
      */
     Tick ready_at = 0;
     /** Waiter-chain links, one per source; kIqNotChained while the

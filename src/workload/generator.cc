@@ -105,8 +105,20 @@ SyntheticWorkload::startPhase(int idx)
     pc_.stream_stride =
         std::max<std::uint64_t>(p.stream_stride_bytes, 1);
     pc_.cross_chain = p.cross_chain_frac > 0.0 && chains_.size() > 1;
-    pc_.load_store_frac = p.load_frac + p.store_frac;
-    pc_.div_mul_frac = p.div_frac + p.mul_frac;
+    pc_.load_roll = Pcg32::rollThreshold(p.load_frac);
+    pc_.store_roll = Pcg32::rollThreshold(p.load_frac + p.store_frac);
+    pc_.div_roll = Pcg32::rollThreshold(p.div_frac);
+    pc_.mul_roll = Pcg32::rollThreshold(p.div_frac + p.mul_frac);
+    pc_.excursion_chance = Pcg32::chanceThreshold(p.excursion_frac);
+    pc_.shared_chance = Pcg32::chanceThreshold(p.shared_frac);
+    pc_.rand_chance = Pcg32::chanceThreshold(p.rand_frac);
+    pc_.cross_chain_chance = Pcg32::chanceThreshold(p.cross_chain_frac);
+    pc_.load_chain_chance = Pcg32::chanceThreshold(p.load_chain_frac);
+    pc_.branch_dep_chance = Pcg32::chanceThreshold(p.branch_dep_frac);
+    // The noise roll keeps its `branch_noise > 0` guard: no draw for
+    // NaN, where chance() alone would draw.
+    pc_.noise_chance = Pcg32::chanceThreshold(
+        p.branch_noise > 0.0 ? p.branch_noise : 0.0);
     pc_.pattern_len =
         static_cast<std::uint32_t>(p.branch_pattern_len);
 }
@@ -155,7 +167,7 @@ SyntheticWorkload::branchOutcome()
         taken = false;
         break;
     }
-    if (p.branch_noise > 0.0 && rng_.chance(p.branch_noise))
+    if (rng_.chanceAt(pc_.noise_chance))
         taken = rng_.chance(0.5);
     return taken;
 }
@@ -190,7 +202,8 @@ SyntheticWorkload::advanceBlock()
         }
         return;
     }
-    if (total_lines_ > hot_lines_ && rng_.chance(p.excursion_frac)) {
+    if (total_lines_ > hot_lines_ &&
+        rng_.chanceAt(pc_.excursion_chance)) {
         in_excursion_ = true;
         excursion_left_ = p.excursion_len;
         excursion_pos_ = hot_lines_ +
@@ -216,8 +229,7 @@ SyntheticWorkload::advanceBlock()
 Addr
 SyntheticWorkload::dataAddress(Chain &chain)
 {
-    const PhaseParams &p = *cur_phase_;
-    if (pc_.shared_lines != 0 && rng_.chance(p.shared_frac)) {
+    if (pc_.shared_lines != 0 && rng_.chanceAt(pc_.shared_chance)) {
         // Chip-shared window: every sharing core draws lines from the
         // same [kSharedBase, kSharedBase + shared_bytes) range, so
         // stores here are the (only) source of cross-core coherence
@@ -225,7 +237,7 @@ SyntheticWorkload::dataAddress(Chain &chain)
         std::uint64_t line = rng_.nextBounded(pc_.shared_lines);
         return kSharedBase + line * kLineBytes;
     }
-    if (pc_.rand_pool && rng_.chance(p.rand_frac)) {
+    if (pc_.rand_pool && rng_.chanceAt(pc_.rand_chance)) {
         // The pool sits contiguously after the streamed region (as a
         // real heap would), so small working sets do not suffer
         // artificial direct-mapped conflicts.
@@ -248,7 +260,7 @@ SyntheticWorkload::makeBranch()
     op.cls = OpClass::Branch;
     Chain &chain = chains_[chain_idx_];
     bool data_dep = !chain.is_fp &&
-                    rng_.chance(cur_phase_->branch_dep_frac);
+                    rng_.chanceAt(pc_.branch_dep_chance);
     op.src1 = data_dep ? chain.tail : kZeroReg;
     op.src2 = -1;
     op.dst = -1;
@@ -265,34 +277,34 @@ SyntheticWorkload::makeWork()
     MicroOp op;
     op.src1 = chain.tail;
     op.src2 = kZeroReg;
-    if (pc_.cross_chain && rng_.chance(p.cross_chain_frac)) {
+    if (pc_.cross_chain && rng_.chanceAt(pc_.cross_chain_chance)) {
         size_t other = rng_.nextBounded(
             static_cast<std::uint32_t>(chains_.size()));
         op.src2 = chains_[other].tail;
     }
 
-    double roll = rng_.nextDouble();
-    if (roll < p.load_frac) {
+    std::uint32_t roll = rng_.next();
+    if (roll < pc_.load_roll) {
         op.cls = chain.is_fp ? OpClass::FpLoad : OpClass::Load;
         op.mem_addr = dataAddress(chain);
         op.dst = allocReg(chain);
-        if (rng_.chance(p.load_chain_frac))
+        if (rng_.chanceAt(pc_.load_chain_chance))
             chain.tail = op.dst;
-    } else if (roll < pc_.load_store_frac) {
+    } else if (roll < pc_.store_roll) {
         op.cls = OpClass::Store;
         op.mem_addr = dataAddress(chain);
         op.src2 = chain.tail;
         op.dst = -1;
     } else {
-        double alu = rng_.nextDouble();
+        std::uint32_t alu = rng_.next();
         if (chain.is_fp) {
-            op.cls = alu < p.div_frac ? OpClass::FpDiv
-                     : alu < pc_.div_mul_frac ? OpClass::FpMul
-                                              : OpClass::FpAlu;
+            op.cls = alu < pc_.div_roll   ? OpClass::FpDiv
+                     : alu < pc_.mul_roll ? OpClass::FpMul
+                                          : OpClass::FpAlu;
         } else {
-            op.cls = alu < p.div_frac ? OpClass::IntDiv
-                     : alu < pc_.div_mul_frac ? OpClass::IntMul
-                                              : OpClass::IntAlu;
+            op.cls = alu < pc_.div_roll   ? OpClass::IntDiv
+                     : alu < pc_.mul_roll ? OpClass::IntMul
+                                          : OpClass::IntAlu;
         }
         op.dst = allocReg(chain);
         chain.tail = op.dst;

@@ -7,11 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "clock/clock.hh"
 #include "clock/pll.hh"
 #include "clock/sync_fifo.hh"
 #include "clock/synchronizer.hh"
 #include "common/random.hh"
+#include "core/domain.hh"
 
 using namespace gals;
 
@@ -417,4 +421,151 @@ TEST(Synchronizer, BypassVisibleAtClampsMarginAtEarlyEdges)
     EXPECT_EQ(bypassVisibleAt(5, early), 10u);
     Clock tiny(100, 60);
     EXPECT_EQ(bypassVisibleAt(50, tiny), 60u);
+}
+
+// ---------------------------------------------------------------------
+// Cached synchronizer constants and the own-edge visibility predicate.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** The synchronizer rule as it read before the clock cached its
+ * guard and margin: the 30% guard of the faster period recomputed in
+ * floating point at every call. */
+Tick
+doubleFormulaVisibleAt(Tick produced_at, const Clock &producer,
+                       const Clock &consumer, bool same_domain)
+{
+    Tick edge = consumer.nextEdgeAfter(produced_at);
+    Tick margin = consumer.period() / 4;
+    if (same_domain)
+        return edge - std::min(margin, edge);
+    Tick faster = std::min(producer.period(), consumer.period());
+    Tick guard = static_cast<Tick>(0.30 * static_cast<double>(faster));
+    if (edge - produced_at < guard)
+        edge += consumer.period();
+    return edge - std::min(margin, edge);
+}
+
+void
+expectConstantsMatchPeriod(const Clock &c)
+{
+    EXPECT_EQ(c.guard(),
+              static_cast<Tick>(0.30 * static_cast<double>(c.period())));
+    EXPECT_EQ(c.margin(), c.period() / 4);
+}
+
+/** A domain that exposes its own-edge predicate to the test. */
+class OwnEdgeProbe : public Domain
+{
+  public:
+    using Domain::Domain;
+    using Domain::visibleOnEdge;
+    Tick step(Tick) override { return kTickMax; }
+    void resizeStructure(int) override {}
+};
+
+} // namespace
+
+TEST(Clock, CachedSyncConstantsFollowLandedPeriod)
+{
+    Pcg32 rng(4242, 3);
+    for (int i = 0; i < 2'000; ++i) {
+        SCOPED_TRACE(i);
+        Tick first = rng.nextBounded(5'000);
+        Clock c(1 + rng.nextBounded(9'999), first);
+        expectConstantsMatchPeriod(c);
+        for (int change = 0; change < 3; ++change) {
+            Tick old_period = c.period();
+            Tick next_period = 1 + rng.nextBounded(9'999);
+            c.setPeriod(next_period, c.nextEdge() + rng.nextBounded(
+                                                       20'000));
+            // Pending: the constants still follow the old period.
+            while (c.changePending()) {
+                EXPECT_EQ(c.period(), old_period);
+                expectConstantsMatchPeriod(c);
+                c.advance();
+            }
+            EXPECT_EQ(c.period(), next_period);
+            expectConstantsMatchPeriod(c);
+        }
+    }
+}
+
+TEST(Synchronizer, CachedGuardMatchesDoubleFormula)
+{
+    Pcg32 rng(99, 11);
+    for (int i = 0; i < 10'000; ++i) {
+        SCOPED_TRACE(i);
+        Clock prod(1 + rng.nextBounded(4'000), rng.nextBounded(4'000));
+        Clock cons(1 + rng.nextBounded(4'000), rng.nextBounded(4'000));
+        if (rng.chance(0.5)) {
+            // Land a period change on one side first.
+            Clock &c = rng.chance(0.5) ? prod : cons;
+            c.setPeriod(1 + rng.nextBounded(4'000), c.nextEdge());
+            c.advance();
+        }
+        bool same = rng.chance(0.2);
+        Tick t = rng.nextBounded(20'000);
+        EXPECT_EQ(syncVisibleAt(t, prod, cons, same),
+                  doubleFormulaVisibleAt(t, prod, cons, same));
+    }
+}
+
+TEST(Synchronizer, OwnEdgePredicateMatchesVisibleAt)
+{
+    // On the consumer's own edge (its clock's nextEdge() is `now`),
+    // Domain::visibleOnEdge must answer visibleAt(t, prod, cons) <=
+    // now for every producer, both clocking modes, t = 0, the guard
+    // band's boundary and a pending, not yet landed, period change.
+    Pcg32 rng(2026, 13);
+    int visible = 0, hidden = 0, at_guard = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        SCOPED_TRACE(i);
+        std::array<Clock, kNumDomains> clocks{
+            Clock(1 + rng.nextBounded(3'000), rng.nextBounded(3'000)),
+            Clock(1 + rng.nextBounded(3'000), rng.nextBounded(3'000)),
+            Clock(1 + rng.nextBounded(3'000), rng.nextBounded(3'000)),
+            Clock(1 + rng.nextBounded(3'000), rng.nextBounded(3'000))};
+        for (Clock &c : clocks) {
+            int edges = static_cast<int>(rng.nextBounded(8));
+            for (int e = 0; e < edges; ++e)
+                c.advance();
+            if (rng.chance(0.3)) {
+                c.setPeriod(1 + rng.nextBounded(3'000),
+                            c.nextEdge() + 1 + rng.nextBounded(5'000));
+            }
+        }
+        CoreTiming timing(clocks.data(), rng.chance(0.25));
+        auto cons = static_cast<DomainId>(rng.nextBounded(kNumDomains));
+        auto prod = rng.chance(0.3)
+                        ? cons
+                        : static_cast<DomainId>(
+                              rng.nextBounded(kNumDomains));
+        OwnEdgeProbe me(cons, timing);
+        const Clock &cc = timing.clock(cons);
+        Tick now = cc.nextEdge();
+        Tick guard = syncGuard(timing.clock(prod), cc);
+
+        Tick t = 0;
+        std::uint32_t kind = rng.nextBounded(4);
+        if (kind == 1) {
+            t = rng.nextBounded(
+                static_cast<std::uint32_t>(now + 3 * cc.period() + 1));
+        } else if (kind >= 2) {
+            // Around the guard band's edge and around `now`.
+            Tick base = kind == 2 ? now - std::min(now, guard) : now;
+            Tick off = rng.nextBounded(5);
+            t = base + off >= 2 ? base + off - 2 : 0;
+            at_guard += kind == 2 && t + guard == now;
+        }
+        bool expect = timing.visibleAt(t, prod, cons) <= now;
+        EXPECT_EQ(me.visibleOnEdge(t, prod, now), expect)
+            << "t=" << t << " now=" << now << " guard=" << guard;
+        (expect ? visible : hidden) += 1;
+    }
+    EXPECT_GT(visible, 3'000);
+    EXPECT_GT(hidden, 3'000);
+    EXPECT_GT(at_guard, 500);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/random.hh"
 
@@ -121,4 +123,55 @@ TEST(Random, GaussianMoments)
     double var = sq / n - mean * mean;
     EXPECT_NEAR(mean, 10.0, 0.1);
     EXPECT_NEAR(std::sqrt(var), 2.0, 0.1);
+}
+
+TEST(Random, ThresholdDrawsMatchDoubleDraws)
+{
+    // chanceAt(chanceThreshold(p)) must be chance(p), and
+    // next() < rollThreshold(p) must be nextDouble() < p: the same
+    // answer and the same generator state after every call, for
+    // every double (edge values, then seeded random ones).
+    const double two32 = 4294967296.0;
+    std::vector<double> ps = {
+        0.0, -0.0, -0.25, -1e-300, 1.0, 1.5, 1e300,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::denorm_min(),
+        std::ldexp(1.0, -40), std::ldexp(1.0, -32),
+        std::ldexp(1.0, -33), 1.0 - std::ldexp(1.0, -53),
+        1.0 - std::ldexp(1.0, -32), 0.5, 0.85, 0.3};
+    for (std::uint64_t k : {1ULL, 2ULL, 3ULL, 12345ULL, 1ULL << 31,
+                            (1ULL << 32) - 1, (1ULL << 32) - 2}) {
+        double p = static_cast<double>(k) / two32;
+        ps.push_back(p);
+        ps.push_back(std::nextafter(p, 0.0));
+        ps.push_back(std::nextafter(p, 1.0));
+    }
+    Pcg32 pick(77, 5);
+    for (int i = 0; i < 10'000; ++i)
+        ps.push_back(pick.nextDouble() * 1.2 - 0.1);
+
+    Pcg32 a(31, 9);
+    Pcg32 b(31, 9);
+    for (double p : ps) {
+        SCOPED_TRACE(p);
+        // The threshold is the exact boundary: the draws on either
+        // side of it answer as nextDouble() would.
+        std::uint64_t t = Pcg32::rollThreshold(p);
+        ASSERT_LE(t, 1ULL << 32);
+        for (std::uint64_t u : {t - 1, t}) {
+            if (u >= (1ULL << 32))
+                continue; // t - 1 wrapped, or t = 2^32.
+            ASSERT_EQ(static_cast<double>(u) / two32 < p, u < t) << u;
+        }
+        for (int rep = 0; rep < 4; ++rep) {
+            ASSERT_EQ(a.chance(p), b.chanceAt(Pcg32::chanceThreshold(p)));
+            ASSERT_TRUE(a == b);
+            ASSERT_EQ(a.nextDouble() < p,
+                      b.next() < Pcg32::rollThreshold(p));
+            ASSERT_TRUE(a == b);
+        }
+    }
 }
